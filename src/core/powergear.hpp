@@ -76,7 +76,8 @@ public:
     /// Returns true on a cache hit. With a disabled cache this is plain fit().
     bool fit_cached(const SamplePool& train, const io::Cache& cache);
 
-    /// Power estimate (watts) for one sample's graph + metadata.
+    /// Power estimate (watts) for one sample's graph + metadata: a batch of
+    /// one through the same fused forward as estimate_batch.
     double estimate(const dataset::Sample& sample) const;
     double estimate(const gnn::GraphTensors& tensors) const;
 
@@ -98,8 +99,8 @@ public:
     /// Persist the trained ensemble to a file as a powergear-art-v1 "model"
     /// artifact (bit-exact round trip).
     void save(const std::string& path) const;
-    /// Load a previously saved ensemble (artifact or legacy text format);
-    /// the estimator becomes ready to use.
+    /// Load an ensemble saved by save(); the estimator becomes ready to
+    /// use. Throws std::runtime_error on a missing, corrupt or foreign file.
     void load(const std::string& path);
 
     const Options& options() const { return opts_; }

@@ -27,15 +27,6 @@
 
 namespace powergear::gnn {
 
-/// Whether the fused batched forward is active for minibatch training and
-/// estimate_batch. Resolved once from POWERGEAR_BATCHED (default on; set to
-/// 0 to force the per-graph oracle path) unless set_batching overrode it.
-/// (POWERGEAR_BATCH, without the D, is the bench-scale minibatch size.)
-bool batching_enabled();
-
-/// Override the batching mode at runtime (tests, parity harnesses).
-void set_batching(bool on);
-
 /// Largest batch one fused forward covers when a caller chunks an
 /// arbitrarily long sample list (evaluate_mape, estimate_batch). Bounds
 /// tape-arena memory to ~chunk-size graphs and keeps chunk × member

@@ -133,16 +133,9 @@ void Ensemble::adopt(std::vector<std::unique_ptr<PowerModel>> members) {
     members_ = std::move(members);
 }
 
-float Ensemble::predict(const GraphTensors& g) const {
-    if (members_.empty()) throw std::logic_error("Ensemble::predict before fit");
-    double s = 0.0;
-    nn::Tape t; // one arena shared across members
-    for (const auto& m : members_) s += m->predict(g, t);
-    return static_cast<float>(s / static_cast<double>(members_.size()));
-}
-
 Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
-    if (members_.empty()) throw std::logic_error("Ensemble::predict before fit");
+    if (members_.empty())
+        throw std::logic_error("Ensemble::predict_stats before fit");
     std::vector<double> preds;
     preds.reserve(members_.size());
     nn::Tape t;
@@ -162,7 +155,7 @@ Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
 std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
     std::span<const GraphTensors* const> graphs) const {
     if (members_.empty())
-        throw std::logic_error("Ensemble::predict before fit");
+        throw std::logic_error("Ensemble::predict_stats_batch before fit");
     if (graphs.empty()) return {};
     const std::size_t nm = members_.size();
     const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
@@ -224,16 +217,15 @@ double Ensemble::evaluate_mape(std::span<const GraphTensors* const> graphs,
                                std::span<const float> targets) const {
     if (graphs.size() != targets.size())
         throw std::invalid_argument("evaluate_mape: size mismatch");
-    // Per-sample predictions are independent (predict only reads member
-    // weights); the summation below stays in index order for bit-identical
-    // results at any job count.
-    const std::vector<float> preds = util::parallel_map<float>(
-        graphs.size(), [&](std::size_t i) { return predict(*graphs[i]); });
+    if (graphs.empty()) return 0.0;
+    // The batched means are bit-identical at any job count; the summation
+    // below stays in index order so the MAPE is too.
+    const std::vector<Stats> stats = predict_stats_batch(graphs);
     double s = 0.0;
     for (std::size_t i = 0; i < graphs.size(); ++i)
-        s += std::abs(preds[i] - targets[i]) /
+        s += std::abs(stats[i].mean - targets[i]) /
              std::max(1e-9f, std::abs(targets[i]));
-    return graphs.empty() ? 0.0 : 100.0 * s / static_cast<double>(graphs.size());
+    return 100.0 * s / static_cast<double>(graphs.size());
 }
 
 } // namespace powergear::gnn

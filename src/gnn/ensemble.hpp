@@ -42,10 +42,9 @@ public:
     void fit(std::span<const GraphTensors* const> graphs,
              std::span<const float> targets, const EnsembleConfig& cfg);
 
-    /// Average member predictions.
-    float predict(const GraphTensors& g) const;
-
-    /// Average plus member spread in one pass over the members.
+    /// Member mean and spread for one graph through per-graph forwards.
+    /// Production paths use predict_stats_batch; this is the reference
+    /// oracle the tests compare the batched stats against.
     Stats predict_stats(const GraphTensors& g) const;
 
     /// Batched predict_stats: samples are merged into block-diagonal chunks
@@ -58,8 +57,9 @@ public:
     std::vector<Stats> predict_stats_batch(
         std::span<const GraphTensors* const> graphs) const;
 
-    /// MAPE (%) against targets; per-sample predictions fan out over the
-    /// parallel pool, the reduction order stays fixed (bit-identical).
+    /// MAPE (%) against targets. Per-sample means come from
+    /// predict_stats_batch and are reduced in index order (bit-identical
+    /// at any job count).
     double evaluate_mape(std::span<const GraphTensors* const> graphs,
                          std::span<const float> targets) const;
 
@@ -67,7 +67,7 @@ public:
 
     /// Non-owning member access (persistence, inspection).
     std::vector<PowerModel*> members() const;
-    /// Replace the member set (used by gnn/serialize when loading).
+    /// Replace the member set (used by io::decode_ensemble when loading).
     void adopt(std::vector<std::unique_ptr<PowerModel>> members);
 
 private:

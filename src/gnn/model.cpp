@@ -174,26 +174,16 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
         ys.reserve(end - start);
         for (std::size_t i = start; i < end; ++i)
             ys.push_back(targets[static_cast<std::size_t>(order[i])]);
-        // The fused path assembles the minibatch block-diagonally and runs
-        // one forward; the batch must stay alive through backward() (the
-        // tape borrows its node features and graph ids).
-        GraphBatch batch;
-        int loss;
-        if (batching_enabled()) {
-            std::vector<const GraphTensors*> members;
-            members.reserve(end - start);
-            for (std::size_t i = start; i < end; ++i)
-                members.push_back(graphs[static_cast<std::size_t>(order[i])]);
-            batch = GraphBatch::assemble(members);
-            const int preds = forward_batch(t, batch, true);
-            loss = t.mape_loss_rows(preds, ys);
-        } else {
-            std::vector<int> preds;
-            for (std::size_t i = start; i < end; ++i)
-                preds.push_back(forward(
-                    t, *graphs[static_cast<std::size_t>(order[i])], true));
-            loss = t.mape_loss(preds, ys);
-        }
+        // The minibatch is assembled block-diagonally and runs as one fused
+        // forward; the batch must stay alive through backward() (the tape
+        // borrows its node features and graph ids).
+        std::vector<const GraphTensors*> members;
+        members.reserve(end - start);
+        for (std::size_t i = start; i < end; ++i)
+            members.push_back(graphs[static_cast<std::size_t>(order[i])]);
+        const GraphBatch batch = GraphBatch::assemble(members);
+        const int loss =
+            t.mape_loss_rows(forward_batch(t, batch, true), ys);
         adam_->zero_grad();
         t.backward(loss);
         // Catch exploding/NaN gradients before the optimizer folds them into
@@ -215,24 +205,15 @@ double PowerModel::evaluate_mape(const std::vector<const GraphTensors*>& graphs,
     if (graphs.empty()) return 0.0;
     double s = 0.0;
     nn::Tape t;
-    if (batching_enabled()) {
-        const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
-        for (std::size_t start = 0; start < graphs.size(); start += chunk) {
-            const std::size_t n = std::min(chunk, graphs.size() - start);
-            const GraphBatch b = GraphBatch::assemble(
-                std::span<const GraphTensors* const>(graphs.data() + start,
-                                                     n));
-            const std::vector<float> preds = predict_batch(b, t);
-            for (std::size_t i = 0; i < n; ++i)
-                s += std::abs(preds[i] - targets[start + i]) /
-                     std::max(1e-9f, std::abs(targets[start + i]));
-        }
-    } else {
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            const float p = predict(*graphs[i], t);
-            s += std::abs(p - targets[i]) /
-                 std::max(1e-9f, std::abs(targets[i]));
-        }
+    const std::size_t chunk = static_cast<std::size_t>(kBatchChunk);
+    for (std::size_t start = 0; start < graphs.size(); start += chunk) {
+        const std::size_t n = std::min(chunk, graphs.size() - start);
+        const GraphBatch b = GraphBatch::assemble(
+            std::span<const GraphTensors* const>(graphs.data() + start, n));
+        const std::vector<float> preds = predict_batch(b, t);
+        for (std::size_t i = 0; i < n; ++i)
+            s += std::abs(preds[i] - targets[start + i]) /
+                 std::max(1e-9f, std::abs(targets[start + i]));
     }
     return 100.0 * s / static_cast<double>(graphs.size());
 }

@@ -43,7 +43,9 @@ class PowerModel {
 public:
     explicit PowerModel(const ModelConfig& cfg);
 
-    /// Inference (no dropout). Returns the power estimate in watts.
+    /// Per-graph inference (no dropout). Returns the power estimate in
+    /// watts. Production paths use predict_batch; this is the reference
+    /// oracle the batching tests compare the fused forward against.
     float predict(const GraphTensors& g);
     /// Inference reusing a caller-owned tape (resets it first) so repeated
     /// predictions share one grown-once arena instead of reallocating.
@@ -57,9 +59,7 @@ public:
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.
-    /// With batching_enabled() each minibatch runs as one fused
-    /// block-diagonal forward; otherwise graphs run one at a time (the
-    /// oracle path).
+    /// Each minibatch runs as one fused block-diagonal forward.
     double train_epoch(const std::vector<const GraphTensors*>& graphs,
                        const std::vector<float>& targets, int batch_size);
 

@@ -153,25 +153,25 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
         t_in_parallel_task = was_in_task;
     };
 
+    // `pending` is only read or written under done_mutex, and the last
+    // helper notifies before releasing it: the caller cannot observe zero,
+    // return and destroy this frame while a helper still touches it.
     const int helpers = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(pool->threads()), n - 1));
-    std::atomic<int> pending{helpers};
+    int pending = helpers;
     std::mutex done_mutex;
     std::condition_variable done_cv;
     for (int k = 0; k < helpers; ++k) {
         pool->submit([&] {
             drain();
-            if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_one();
-            }
+            std::lock_guard<std::mutex> lock(done_mutex);
+            if (--pending == 0) done_cv.notify_one();
         });
     }
     drain(); // the submitting thread participates
     {
         std::unique_lock<std::mutex> lock(done_mutex);
-        done_cv.wait(lock,
-                     [&] { return pending.load(std::memory_order_acquire) == 0; });
+        done_cv.wait(lock, [&] { return pending == 0; });
     }
     if (err) std::rethrow_exception(err);
 }

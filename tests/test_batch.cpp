@@ -4,8 +4,9 @@
 // block-diagonal layout, and a fused forward over N graphs matches N
 // per-graph forwards — promised within 1e-5 relative on both kernel
 // backends, and bit-for-bit for a single-graph batch on the ref backend.
-// Also pins the oracle switch (set_batching) and the POWERGEAR_JOBS
-// determinism of Ensemble::predict_stats_batch.
+// The per-graph PowerModel::predict and Ensemble::predict_stats are the
+// reference oracles here. Also pins the POWERGEAR_JOBS determinism of
+// Ensemble::predict_stats_batch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,11 +35,6 @@ namespace {
 struct BackendGuard {
     k::Backend saved = k::backend();
     ~BackendGuard() { k::set_backend(saved); }
-};
-
-struct BatchingGuard {
-    bool saved = gnn::batching_enabled();
-    ~BatchingGuard() { gnn::set_batching(saved); }
 };
 
 /// Random heterogeneous graph: 2-40 nodes, random edge count over all four
@@ -210,42 +206,7 @@ TEST(GraphBatch, SingleGraphBatchIsBitIdenticalOnRefBackend) {
     }
 }
 
-TEST(GraphBatch, OracleSwitchKeepsTrainingAndEvalEquivalent) {
-    // set_batching flips train_epoch / evaluate_mape between the fused and
-    // per-graph paths; on the ref backend both must produce identical
-    // numbers from identical seeds (same shuffle, same arithmetic).
-    BackendGuard bguard;
-    BatchingGuard gguard;
-    k::set_backend(k::Backend::Ref);
-    Rng rng(113);
-    std::vector<GraphTensors> storage;
-    std::vector<const GraphTensors*> graphs;
-    std::vector<float> ys;
-    for (int i = 0; i < 10; ++i) {
-        storage.push_back(random_tensors(rng));
-        ys.push_back(1.0f + 0.25f * static_cast<float>(i));
-    }
-    for (const auto& g : storage) graphs.push_back(&g);
-
-    auto run = [&](bool fused) {
-        gnn::set_batching(fused);
-        PowerModel model(batch_config(ConvKind::HecGnn));
-        std::vector<double> out;
-        out.push_back(model.train_epoch(graphs, ys, 4));
-        out.push_back(model.train_epoch(graphs, ys, 4));
-        out.push_back(model.evaluate_mape(graphs, ys));
-        return out;
-    };
-    const std::vector<double> fused = run(true);
-    const std::vector<double> oracle = run(false);
-    ASSERT_EQ(fused.size(), oracle.size());
-    for (std::size_t i = 0; i < fused.size(); ++i)
-        EXPECT_EQ(fused[i], oracle[i]) << "step " << i;
-}
-
 TEST(GraphBatch, PredictStatsBatchDeterministicAcrossJobsAndChunks) {
-    BatchingGuard gguard;
-    gnn::set_batching(true);
     Rng rng(127);
     std::vector<GraphTensors> storage;
     std::vector<const GraphTensors*> graphs;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 
@@ -17,6 +18,7 @@
 #include "dse/pareto/archive.hpp"
 #include "dse/stream.hpp"
 #include "dse/stream_explorer.hpp"
+#include "io/serial.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -215,11 +217,13 @@ TEST(Explorer, RejectsBadInput) {
     EXPECT_THROW(explore(pts, fewer, {}), std::invalid_argument);
 }
 
-TEST(Explorer, BatchEstimatorFormMatchesCallbackForm) {
-    // The estimate_batch-backed overload must sample exactly the same
-    // designs as the point-wise callback bound to the same estimator.
+TEST(Explorer, EstimatorFormMatchesExploreOverPerSampleStats) {
+    // run(pool, pg) must sample exactly the designs dse::explore picks from
+    // points scored by the per-graph reference oracle (predict_stats means
+    // of the same trained ensemble).
     namespace ds = powergear::dataset;
     namespace core = powergear::core;
+    namespace io = powergear::io;
     ds::GeneratorOptions gopts;
     gopts.samples_per_dataset = 8;
     gopts.problem_size = 6;
@@ -235,17 +239,28 @@ TEST(Explorer, BatchEstimatorFormMatchesCallbackForm) {
     o.layers = 1;
     core::PowerGear pg(o);
     pg.fit(ds::pool_except(suite, 1));
+    const std::string path = "test_dse_explorer_model.art";
+    pg.save(path);
+    const powergear::gnn::Ensemble oracle = io::load_ensemble_file(path);
+    std::remove(path.c_str());
 
     ExplorerConfig cfg;
     cfg.total_budget = 0.5;
-    const Explorer explorer(cfg);
     const core::SamplePool pool = ds::pool_of(suite[1]);
-    const DseResult via_batch = explorer.run(pool, pg, ds::PowerKind::Dynamic);
-    const DseResult via_callback = explorer.run(
-        pool, [&pg](const ds::Sample& s) { return pg.estimate(s); },
-        ds::PowerKind::Dynamic);
-    EXPECT_EQ(via_batch.sampled, via_callback.sampled);
-    EXPECT_DOUBLE_EQ(via_batch.adrs_value, via_callback.adrs_value);
+    std::vector<Point> predicted, truth;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const ds::Sample& s = pool[i];
+        const double latency = static_cast<double>(s.latency_cycles);
+        const int idx = static_cast<int>(i);
+        predicted.push_back(
+            {latency, oracle.predict_stats(s.tensors).mean, idx});
+        truth.push_back({latency, s.label(ds::PowerKind::Dynamic), idx});
+    }
+    const DseResult via_estimator =
+        Explorer(cfg).run(pool, pg, ds::PowerKind::Dynamic);
+    const DseResult via_points = explore(predicted, truth, cfg);
+    EXPECT_EQ(via_estimator.sampled, via_points.sampled);
+    EXPECT_DOUBLE_EQ(via_estimator.adrs_value, via_points.adrs_value);
 }
 
 // --- pareto_front tie handling (regression) ---------------------------------

@@ -14,7 +14,6 @@
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
-#include "gnn/serialize.hpp"
 #include "hls/flow.hpp"
 #include "io/cache.hpp"
 #include "io/manifest.hpp"
@@ -109,7 +108,6 @@ TEST(Artifact, FrameRoundTripPreservesPayloadAndHeader) {
     const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 0, 42};
     const std::vector<std::uint8_t> file = io::frame("sim", 1, payload);
     ASSERT_EQ(file.size(), io::kHeaderSize + payload.size());
-    EXPECT_TRUE(io::is_artifact_magic(file.data(), file.size()));
 
     io::ArtifactInfo info;
     const std::vector<std::uint8_t> back = io::unframe(file, "sim", 1, &info);
@@ -245,7 +243,7 @@ TEST(ArtifactStages, SampleSaveLoadIsBitExact) {
     }
 }
 
-TEST(ArtifactStages, EnsembleSaveLoadIsBitExactAndTextStillLoads) {
+TEST(ArtifactStages, EnsembleSaveLoadIsBitExactAndTextIsRejected) {
     TempDir tmp("model");
     std::vector<dataset::Dataset> suite;
     suite.push_back(dataset::generate_dataset("atax", quick_opts(4)));
@@ -267,16 +265,16 @@ TEST(ArtifactStages, EnsembleSaveLoadIsBitExactAndTextStillLoads) {
     for (const dataset::Sample& s : suite[1].samples)
         EXPECT_EQ(pg.estimate(s), pg2.estimate(s)); // bit-exact weights
 
-    // A pre-artifact text-format file is still readable (format sniffing).
+    // The pre-artifact text format is no longer read: its header fails the
+    // artifact magic check.
     {
         std::ofstream f(tmp.file("m.txt"));
-        gnn::Ensemble legacy = io::load_ensemble_file(tmp.file("m.art"));
-        gnn::save_ensemble(f, legacy);
+        f << "powergear-ensemble 1 1\npowergear-model 1\n"
+             "config 0 60 4 10 4 1 0.2 0.0005 1 1 1 1 1 1\nparams 0\n";
     }
     core::PowerGear pg3(o);
-    pg3.load(tmp.file("m.txt"));
-    for (const dataset::Sample& s : suite[1].samples)
-        EXPECT_EQ(pg.estimate(s), pg3.estimate(s));
+    expect_throw_containing([&] { pg3.load(tmp.file("m.txt")); }, "bad magic");
+    EXPECT_EQ(pg3.num_members(), 0);
 
     expect_throw_containing(
         [&] { io::load_ensemble_file(tmp.file("missing.art")); },

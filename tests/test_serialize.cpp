@@ -1,12 +1,12 @@
-// Model persistence tests: bit-exact round trips for PowerModel and
-// Ensemble, format validation, and the core API's save/load.
+// Model persistence tests: bit-exact round trips of PowerModels and
+// Ensembles through the powergear-art-v1 "model" codec, plus rejection of
+// corrupt and truncated payloads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <span>
-#include <sstream>
 
-#include "gnn/serialize.hpp"
+#include "io/serial.hpp"
 #include "ir/ir.hpp"
 
 using namespace powergear;
@@ -47,21 +47,29 @@ GraphTensors probe_graph() {
     return GraphTensors::from(g, std::vector<double>(10, 0.7));
 }
 
+gnn::Ensemble single_member(const ModelConfig& cfg) {
+    std::vector<std::unique_ptr<PowerModel>> members;
+    members.push_back(std::make_unique<PowerModel>(cfg));
+    gnn::Ensemble ens;
+    ens.adopt(std::move(members));
+    return ens;
+}
+
 } // namespace
 
 class EveryKindRoundTrip : public ::testing::TestWithParam<ConvKind> {};
 
 TEST_P(EveryKindRoundTrip, ModelPredictionsSurviveSaveLoad) {
-    PowerModel model(small_config(GetParam()));
+    const gnn::Ensemble ens = single_member(small_config(GetParam()));
     const GraphTensors g = probe_graph();
-    const float before = model.predict(g);
+    const float before = ens.members().front()->predict(g);
 
-    std::stringstream ss;
-    gnn::save_model(ss, model);
-    auto loaded = gnn::load_model(ss);
-    EXPECT_FLOAT_EQ(loaded->predict(g), before);
-    EXPECT_EQ(loaded->config().hidden, 6);
-    EXPECT_EQ(static_cast<int>(loaded->config().kind),
+    const gnn::Ensemble loaded = io::decode_ensemble(io::encode_ensemble(ens));
+    ASSERT_EQ(loaded.num_members(), 1);
+    PowerModel& model = *loaded.members().front();
+    EXPECT_EQ(model.predict(g), before); // bit-exact weights
+    EXPECT_EQ(model.config().hidden, 6);
+    EXPECT_EQ(static_cast<int>(model.config().kind),
               static_cast<int>(GetParam()));
 }
 
@@ -90,43 +98,43 @@ TEST(Serialize, EnsembleRoundTripAveragesIdentically) {
             std::span<const float>(targets), cfg);
 
     const GraphTensors g = probe_graph();
-    const float before = ens.predict(g);
-    std::stringstream ss;
-    gnn::save_ensemble(ss, ens);
-    gnn::Ensemble loaded = gnn::load_ensemble(ss);
+    const gnn::Ensemble::Stats before = ens.predict_stats(g);
+    const gnn::Ensemble loaded = io::decode_ensemble(io::encode_ensemble(ens));
     EXPECT_EQ(loaded.num_members(), ens.num_members());
-    EXPECT_FLOAT_EQ(loaded.predict(g), before);
+    const gnn::Ensemble::Stats after = loaded.predict_stats(g);
+    EXPECT_EQ(after.mean, before.mean);
+    EXPECT_EQ(after.spread, before.spread);
 }
 
 TEST(Serialize, RejectsCorruptHeader) {
-    std::stringstream ss("not-a-model 1\n");
-    EXPECT_THROW(gnn::load_model(ss), std::runtime_error);
-    std::stringstream ss2("powergear-ensemble 999 1\n");
-    EXPECT_THROW(gnn::load_ensemble(ss2), std::runtime_error);
+    const std::string path = "test_serialize_corrupt.pgm";
+    std::vector<std::uint8_t> file =
+        io::frame(io::kStageModel, io::kModelPayloadVersion,
+                  io::encode_ensemble(single_member(small_config())));
+    file[0] ^= 0xff; // magic
+    io::write_file_atomic(path, file);
+    EXPECT_THROW(io::load_ensemble_file(path), std::runtime_error);
+    // A well-formed frame for another stage is not a model either.
+    io::write_file_atomic(path, io::frame(io::kStageSim, 1, {1, 2, 3}));
+    EXPECT_THROW(io::load_ensemble_file(path), std::runtime_error);
+    std::remove(path.c_str());
 }
 
 TEST(Serialize, RejectsTruncatedBody) {
-    PowerModel model(small_config());
-    std::stringstream ss;
-    gnn::save_model(ss, model);
-    std::string text = ss.str();
-    text.resize(text.size() / 2);
-    std::stringstream half(text);
-    EXPECT_THROW(gnn::load_model(half), std::runtime_error);
+    std::vector<std::uint8_t> payload =
+        io::encode_ensemble(single_member(small_config()));
+    payload.resize(payload.size() / 2);
+    EXPECT_THROW(io::decode_ensemble(payload), std::runtime_error);
 }
 
 TEST(Serialize, FileRoundTrip) {
-    gnn::Ensemble ens;
-    std::vector<std::unique_ptr<PowerModel>> members;
-    members.push_back(std::make_unique<PowerModel>(small_config()));
-    ens.adopt(std::move(members));
-
+    const gnn::Ensemble ens = single_member(small_config());
     const std::string path = "test_serialize_roundtrip.pgm";
-    gnn::save_ensemble_file(path, ens);
-    const gnn::Ensemble loaded = gnn::load_ensemble_file(path);
+    io::save_ensemble_file(path, ens);
+    const gnn::Ensemble loaded = io::load_ensemble_file(path);
     EXPECT_EQ(loaded.num_members(), 1);
     const GraphTensors g = probe_graph();
-    EXPECT_FLOAT_EQ(loaded.predict(g), ens.predict(g));
+    EXPECT_EQ(loaded.predict_stats(g).mean, ens.predict_stats(g).mean);
     std::remove(path.c_str());
-    EXPECT_THROW(gnn::load_ensemble_file(path), std::runtime_error);
+    EXPECT_THROW(io::load_ensemble_file(path), std::runtime_error);
 }

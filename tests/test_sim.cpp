@@ -2,6 +2,9 @@
 // tests, including hand-computed replica subsequences under unrolling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "hls/scheduler.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
@@ -17,11 +20,20 @@ using ir::Pred;
 namespace {
 
 /// Straight-line function computing every binary op on two constants.
+/// gtest names each case by the parameter's raw bytes, so the padding is
+/// explicit and zeroed: implicit padding would leak stack and heap
+/// addresses into the case names and change them on every run.
 struct OpcodeCase {
+    OpcodeCase(Opcode op_, std::int64_t a_, std::int64_t b_, std::uint32_t expect_)
+        : op(op_), a(a_), b(b_), expect(expect_) {}
     Opcode op;
+    std::uint8_t pad_op[7] = {};
     std::int64_t a, b;
     std::uint32_t expect;
+    std::uint32_t pad_tail = 0;
 };
+static_assert(sizeof(OpcodeCase) == 32);
+static_assert(std::has_unique_object_representations_v<OpcodeCase>);
 
 } // namespace
 

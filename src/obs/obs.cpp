@@ -28,6 +28,7 @@ const char* phase_name(Phase p) {
     case Phase::Dse: return "dse";
     case Phase::Cache: return "cache";
     case Phase::Serve: return "serve";
+    case Phase::Place: return "place";
     case Phase::kCount: break;
     }
     return "unknown";

@@ -41,6 +41,7 @@ enum class Phase : int {
     Dse,             ///< dse::Explorer::run — design-space exploration
     Cache,           ///< io::Cache — pipeline-cache hits/misses/stores
     Serve,           ///< core::serve — per-request daemon latency + counters
+    Place,           ///< fpga::place — annealing placement (board + Vivado-like)
     kCount
 };
 

@@ -32,6 +32,18 @@ for key in '"schema": "powergear-obs-v1"' '"dataset_gen"' '"hls_schedule"' \
         { echo "FAIL: metrics.json missing $key"; cat metrics.json; exit 1; }
 done
 
+echo "--- gen --metrics attributes placement in both implementation flows"
+"$CLI" gen --kernel atax --samples 4 --size 8 --metrics gen_metrics.json >/dev/null
+python3 - <<'EOF'
+import json
+phases = json.load(open("gen_metrics.json"))["phases"]
+place = phases.get("place")
+assert place is not None, f"gen metrics lack the place phase: {sorted(phases)}"
+# One board placement and one Vivado-like placement per design point.
+assert place["calls"] == 8, f"want 8 placements for 4 points, got {place}"
+assert place["counters"].get("moves", 0) > 0, f"place phase has no moves: {place}"
+EOF
+
 echo "--- POWERGEAR_METRICS env fallback"
 POWERGEAR_METRICS=env_metrics.json "$CLI" gen --kernel atax --samples 4 \
     --size 8 >/dev/null

@@ -27,13 +27,22 @@ echo "--- daemon starts and answers ping"
 "$CLI" serve --model model.pgm --socket "$sock" \
     --metrics serve.json 2> daemon.log &
 daemon_pid=$!
-for _ in $(seq 1 100); do
-    [ -S "$sock" ] && break
+# Ready means a ping is answered: the socket file appears at bind(), before
+# listen(), so its existence alone does not mean connects will succeed.
+ready=0
+for _ in $(seq 1 200); do
+    if "$CLI" serve --socket "$sock" --ping > ping.txt 2> /dev/null; then
+        ready=1
+        break
+    fi
+    kill -0 "$daemon_pid" 2> /dev/null ||
+        { echo "FAIL: daemon exited during start-up"; cat daemon.log; exit 1; }
     sleep 0.05
 done
-[ -S "$sock" ] || { echo "FAIL: daemon never bound $sock"; cat daemon.log; exit 1; }
-"$CLI" serve --socket "$sock" --ping | grep -q 'generation 1' ||
-    { echo "FAIL: ping did not report generation 1"; exit 1; }
+[ "$ready" -eq 1 ] ||
+    { echo "FAIL: daemon never answered a ping on $sock"; cat daemon.log; exit 1; }
+grep -q 'generation 1' ping.txt ||
+    { echo "FAIL: ping did not report generation 1"; cat ping.txt; exit 1; }
 
 echo "--- --reload hot-swaps (generation bumps)"
 "$CLI" serve --socket "$sock" --reload | grep -q 'generation 2' ||

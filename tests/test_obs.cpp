@@ -154,6 +154,9 @@ TEST_F(ObsTest, CounterTotalsIdenticalAcrossJobCounts) {
     EXPECT_EQ(serial.phases.count("sim_trace"), 1u);
     EXPECT_EQ(serial.phases.count("graphgen"), 1u);
     EXPECT_EQ(serial.phases.at("dataset_gen").counters.at("samples"), 6u);
+    // Board and Vivado-like placement: two per design point.
+    EXPECT_EQ(serial.phases.at("place").calls, 12u);
+    EXPECT_GT(serial.phases.at("place").counters.at("moves"), 0u);
 }
 
 TEST_F(ObsTest, ReportJsonRoundTrip) {

@@ -1,7 +1,10 @@
 #include "analysis/diagnostic.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace powergear::analysis {
 
@@ -143,50 +146,25 @@ std::string Report::render_text() const {
     return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\t': os << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20)
-                    os << ' '; // control chars never appear in our messages
-                else
-                    os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 std::string Report::render_json() const {
-    std::ostringstream os;
-    os << "{\"diagnostics\":[";
-    bool first = true;
+    using obs::JsonValue;
+    JsonValue diags = JsonValue::array();
     for (const Diagnostic& d : diags_) {
-        if (!first) os << ',';
-        first = false;
-        os << "{\"rule\":";
-        json_escape(os, d.rule);
-        os << ",\"severity\":\"" << severity_name(d.severity) << '"';
-        os << ",\"context\":";
-        json_escape(os, d.context);
-        os << ",\"artifact\":";
-        json_escape(os, d.artifact);
-        os << ",\"index\":" << d.index;
-        os << ",\"message\":";
-        json_escape(os, d.message);
-        os << '}';
+        JsonValue o = JsonValue::object();
+        o.set("rule", JsonValue(d.rule));
+        o.set("severity", JsonValue(severity_name(d.severity)));
+        o.set("context", JsonValue(d.context));
+        o.set("artifact", JsonValue(d.artifact));
+        o.set("index", JsonValue(static_cast<std::int64_t>(d.index)));
+        o.set("message", JsonValue(d.message));
+        diags.push_back(std::move(o));
     }
-    os << "],\"errors\":" << errors() << ",\"warnings\":" << warnings()
-       << ",\"total\":" << size() << '}';
-    return os.str();
+    JsonValue doc = JsonValue::object();
+    doc.set("diagnostics", std::move(diags));
+    doc.set("errors", JsonValue(static_cast<std::int64_t>(errors())));
+    doc.set("warnings", JsonValue(static_cast<std::int64_t>(warnings())));
+    doc.set("total", JsonValue(static_cast<std::int64_t>(size())));
+    return doc.dump(0);
 }
 
 void require_clean(const Report& report, const std::string& what) {

@@ -118,7 +118,8 @@ void Server::start() {
         throw std::runtime_error("serve: listen() failed: " + msg);
     }
 
-    stop_flag_.store(false, std::memory_order_relaxed);
+    // stop_flag_ is left as is: a stop request (SIGTERM) that arrived
+    // during the model load, bind or listen above must not be lost.
     reload_flag_.store(false, std::memory_order_relaxed);
     running_.store(true, std::memory_order_release);
     batcher_thread_ = std::thread(&Server::batcher_loop, this);

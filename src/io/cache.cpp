@@ -7,7 +7,6 @@
 #include <system_error>
 
 #include "obs/obs.hpp"
-#include "util/env.hpp"
 
 namespace fs = std::filesystem;
 
@@ -23,11 +22,6 @@ std::string hex_key(std::uint64_t key) {
 }
 
 } // namespace
-
-Cache Cache::resolve(const std::string& dir) {
-    if (!dir.empty()) return Cache(dir);
-    return Cache(util::env_string("POWERGEAR_CACHE", ""));
-}
 
 std::string Cache::path_of(const std::string& stage, std::uint64_t key) const {
     return root_ + "/" + stage + "/" + hex_key(key) + ".art";

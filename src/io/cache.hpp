@@ -19,7 +19,9 @@
 // src/obs under the "cache" phase and surface in `--metrics` reports; the
 // CLI's `powergear cache {stats,clear}` operates on the same directory
 // layout. A default-constructed (or empty-rooted) cache is disabled: every
-// lookup misses silently and stores are dropped.
+// lookup misses silently and stores are dropped. The library never reads
+// POWERGEAR_CACHE itself: the CLI resolves --cache-dir and its env fallback
+// through its option table and passes the root in.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +41,6 @@ public:
     /// Cache rooted at `root`; empty = disabled. The directory tree is
     /// created lazily on first store.
     explicit Cache(std::string root) : root_(std::move(root)) {}
-
-    /// Resolve the root from an explicit dir (wins) or the POWERGEAR_CACHE
-    /// environment variable; both empty = disabled.
-    static Cache resolve(const std::string& dir);
 
     bool enabled() const { return !root_.empty(); }
     const std::string& root() const { return root_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 
 #include "util/env.hpp"
 
@@ -30,6 +31,35 @@ double parse_double(const std::string& name, const std::string& text) {
         throw UsageError("option --" + name + " expects a number (got '" +
                          text + "')");
     return v;
+}
+
+const char* placeholder(OptType type) {
+    switch (type) {
+        case OptType::Flag: return "";
+        case OptType::Int: return " <int>";
+        case OptType::Double: return " <num>";
+        case OptType::String: return " <text>";
+    }
+    return "";
+}
+
+/// Append `text` word-wrapped to 79 columns; `line` starts the first line
+/// and continuation lines are indented to column `col`.
+void append_wrapped(std::string& out, std::string line, std::size_t col,
+                    const std::string& text) {
+    line.resize(std::max(line.size() + 1, col), ' ');
+    std::size_t start = line.size(); // where this line's text begins
+    std::istringstream words(text);
+    for (std::string word; words >> word;) {
+        if (line.size() > start && line.size() + 1 + word.size() > 79) {
+            out += line + '\n';
+            line.assign(col, ' ');
+            start = col;
+        }
+        if (line.size() > start) line += ' ';
+        line += word;
+    }
+    out += line + '\n';
 }
 
 } // namespace
@@ -79,6 +109,33 @@ std::string closest(const std::string& input,
     return best;
 }
 
+std::string closest(const std::string& input,
+                    std::span<const CommandSpec> commands) {
+    std::vector<std::string> names;
+    for (const CommandSpec& c : commands) names.emplace_back(c.name);
+    return closest(input, names);
+}
+
+std::string render_usage(std::span<const OptionSpec> specs,
+                         std::span<const CommandSpec> commands) {
+    std::string out = "commands:\n";
+    for (const CommandSpec& c : commands)
+        append_wrapped(out, "  " + std::string(c.name), 12, c.summary);
+    out += "\noptions:\n";
+    constexpr std::size_t kCol = 26;
+    for (const OptionSpec& s : specs) {
+        append_wrapped(out, "  --" + std::string(s.name) + placeholder(s.type),
+                       kCol, s.help);
+        std::string notes =
+            std::string("[") +
+            (std::string(s.commands) == "*" ? "all commands" : s.commands);
+        if (*s.default_value) notes += std::string("; default ") + s.default_value;
+        if (*s.env) notes += std::string("; env ") + s.env;
+        append_wrapped(out, "", kCol, notes + "]");
+    }
+    return out;
+}
+
 bool Parsed::has(const std::string& name) const {
     if (values_.count(name)) return true;
     const OptionSpec& spec = spec_of(name);
@@ -98,10 +155,11 @@ std::string Parsed::get(const std::string& name,
     return fallback;
 }
 
-int Parsed::get_int(const std::string& name, int fallback) const {
+long long Parsed::get_integer(const std::string& name,
+                              long long fallback) const {
     const std::string v = get(name);
     if (v.empty()) return fallback;
-    return static_cast<int>(parse_int(name, v));
+    return parse_int(name, v);
 }
 
 double Parsed::get_double(const std::string& name, double fallback) const {
@@ -138,13 +196,13 @@ ShardSpec parse_shard(const std::string& text) {
 
 Parsed parse(int argc, const char* const* argv,
              std::span<const OptionSpec> specs,
-             std::span<const std::string> commands) {
+             std::span<const CommandSpec> commands) {
     Parsed p;
     p.specs_.assign(specs.begin(), specs.end());
     if (argc >= 2) p.command_ = argv[1];
-    const bool known_command =
-        std::find(commands.begin(), commands.end(), p.command_) !=
-        commands.end();
+    for (const CommandSpec& c : commands)
+        if (p.command_ == c.name) p.command_spec_ = &c;
+    const bool known_command = p.command_spec_ != nullptr;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];

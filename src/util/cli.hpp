@@ -1,22 +1,27 @@
 // Declarative command-line parsing for the powergear CLI.
 //
 // Tools describe their surface once, as data: a table of OptionSpec rows
-// (name, type, default, env fallback, which commands accept it) plus the
-// command list. parse() turns argv into a Parsed handle that resolves each
-// option through the same precedence everywhere:
+// (name, type, default, env fallback, which commands accept it, help) plus
+// a table of CommandSpec rows (name, summary, entry point). parse() turns
+// argv into a Parsed handle that resolves each option through the same
+// precedence everywhere:
 //
 //   command line  >  environment variable  >  spec default  >  call-site
 //                                                              fallback
 //
+// and render_usage() prints the usage text from the same two tables, so
+// the help can never drift from what the parser accepts.
+//
 // Errors follow the CLI exit contract: anything wrong with the invocation
-// itself (unknown command/option, missing value, a value that does not
-// parse as the declared type, an option used with a command it does not
-// apply to) throws UsageError, which main() reports and turns into exit 2;
+// itself (unknown option, missing value, a value that does not parse as
+// the declared type, an option used with a command it does not apply to)
+// throws UsageError, which main() reports and turns into exit 2;
 // operational failures remain exit 1. Unknown options and commands come
 // with a "did you mean" suggestion when an edit-distance-2 neighbour
 // exists.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -45,7 +50,15 @@ struct OptionSpec {
     const char* env;           ///< env var fallback; "" = none
     /// Comma-separated commands this option applies to, or "*" for all.
     const char* commands;
-    const char* help;          ///< one-line description for usage text
+    const char* help;          ///< description for the usage text
+};
+
+class Parsed;
+
+struct CommandSpec {
+    const char* name;
+    const char* summary; ///< description for the usage text
+    int (*run)(const Parsed&);
 };
 
 /// True when `spec` applies to `command` (exact match in the comma list,
@@ -59,6 +72,15 @@ std::size_t edit_distance(const std::string& a, const std::string& b);
 /// is close enough (ties go to the earliest candidate).
 std::string closest(const std::string& input,
                     std::span<const std::string> candidates);
+/// closest() over the names of a command table.
+std::string closest(const std::string& input,
+                    std::span<const CommandSpec> commands);
+
+/// Usage text generated from the tables: every command with its summary,
+/// then every option once with its value placeholder, help, default, env
+/// fallback and the commands it applies to.
+std::string render_usage(std::span<const OptionSpec> specs,
+                         std::span<const CommandSpec> commands);
 
 /// A "--shard i/N" worker designation (1-based, i <= N).
 struct ShardSpec {
@@ -73,6 +95,9 @@ ShardSpec parse_shard(const std::string& text);
 class Parsed {
 public:
     const std::string& command() const { return command_; }
+    /// The matching row of the command table given to parse(), or nullptr
+    /// when the command is empty or unknown.
+    const CommandSpec* command_spec() const { return command_spec_; }
     const std::vector<std::string>& positional() const { return positional_; }
 
     /// True when the option was set explicitly — on the command line or
@@ -84,7 +109,13 @@ public:
     /// only when nothing else supplies a value.
     std::string get(const std::string& name,
                     const std::string& fallback = "") const;
-    int get_int(const std::string& name, int fallback) const;
+    /// Integer option in the fallback's type, so a config field reads as
+    /// `cfg.x = a.get_int("x", cfg.x)` and the struct owns the default.
+    template <std::integral T>
+    T get_int(const std::string& name, T fallback) const {
+        return static_cast<T>(
+            get_integer(name, static_cast<long long>(fallback)));
+    }
     double get_double(const std::string& name, double fallback) const;
     /// Flag options: set anywhere in the chain?
     bool flag(const std::string& name) const;
@@ -92,11 +123,13 @@ public:
 private:
     friend Parsed parse(int argc, const char* const* argv,
                         std::span<const OptionSpec> specs,
-                        std::span<const std::string> commands);
+                        std::span<const CommandSpec> commands);
 
     const OptionSpec& spec_of(const std::string& name) const;
+    long long get_integer(const std::string& name, long long fallback) const;
 
     std::string command_;
+    const CommandSpec* command_spec_ = nullptr;
     std::vector<std::string> positional_;
     std::map<std::string, std::string> values_; ///< explicit command line
     std::vector<OptionSpec> specs_;
@@ -114,6 +147,6 @@ private:
 /// not fully parse.
 Parsed parse(int argc, const char* const* argv,
              std::span<const OptionSpec> specs,
-             std::span<const std::string> commands);
+             std::span<const CommandSpec> commands);
 
 } // namespace powergear::util::cli

@@ -2,8 +2,9 @@
 # ctest integration test for the pipeline cache CLI surface: a second
 # `powergear gen` into the same --cache-dir must hit the cache (visible in
 # the --metrics JSON), produce byte-identical output at jobs 1 and 4, and
-# `powergear cache stats|clear` plus `powergear --version` must behave as
-# documented. Registered by tools/CMakeLists.txt with the built CLI as $1.
+# `powergear cache stats|clear`, `powergear --version`, the generated usage
+# and the unknown-command suggestion must behave as documented. Registered
+# by tools/CMakeLists.txt with the built CLI as $1.
 set -euo pipefail
 
 CLI=${1:?usage: cli_cache_test.sh <path-to-powergear-cli>}
@@ -63,5 +64,24 @@ grep -qF 'powergear-obs-v1' version.txt ||
     { echo "FAIL: --version lacks metrics format"; exit 1; }
 cmp version.txt <("$CLI" version) ||
     { echo "FAIL: 'version' and '--version' disagree"; exit 1; }
+
+echo "--- version honours --metrics like every other command"
+"$CLI" version --metrics version_metrics.json > /dev/null
+python3 -c 'import json; json.load(open("version_metrics.json"))' ||
+    { echo "FAIL: version --metrics wrote no report"; exit 1; }
+
+echo "--- bare powergear prints the generated usage and exits 0"
+"$CLI" > usage.txt || { echo "FAIL: bare powergear exited non-zero"; exit 1; }
+for cmd in gen train estimate dse serve lint cache version; do
+    grep -q "^  $cmd " usage.txt ||
+        { echo "FAIL: usage does not name '$cmd'"; cat usage.txt; exit 1; }
+done
+
+echo "--- a mistyped command exits 1 with a suggestion"
+rc=0
+"$CLI" gne > /dev/null 2> gne.txt || rc=$?
+test "$rc" -eq 1 || { echo "FAIL: 'powergear gne' exited $rc, not 1"; exit 1; }
+grep -qF "did you mean 'gen'" gne.txt ||
+    { echo "FAIL: no 'gen' suggestion"; cat gne.txt; exit 1; }
 
 echo "cli_cache_test: ok"

@@ -21,6 +21,7 @@
 #include "hls/scheduler.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
+#include "obs/json.hpp"
 #include "nn/autograd.hpp"
 #include "sim/activity.hpp"
 #include "sim/interpreter.hpp"
@@ -156,6 +157,15 @@ TEST(Diagnostics, RendersTextAndJson) {
     EXPECT_NE(json.find("\"severity\":\"warning\""), std::string::npos);
     EXPECT_NE(json.find("\"errors\":0"), std::string::npos);
     EXPECT_NE(json.find("\"warnings\":1"), std::string::npos);
+
+    // Quotes, newlines and control characters round-trip through a real
+    // JSON parser unchanged.
+    const std::string nasty = "say \"hi\"\nthen \x01 stop";
+    analysis::Report q;
+    q.add("IR001", "instr", 0, nasty);
+    const obs::JsonValue doc = obs::JsonValue::parse(q.render_json());
+    EXPECT_EQ(doc.at("diagnostics").as_array().at(0).at("message").as_string(),
+              nasty);
 }
 
 TEST(Diagnostics, RequireCleanThrowsOnErrorsOnly) {

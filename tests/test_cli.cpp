@@ -1,10 +1,13 @@
 // util::cli tests: declarative option table parsing, precedence (command
 // line > env > spec default > call-site fallback), per-command
-// applicability, type validation at parse time, and unknown-flag
-// suggestions.
+// applicability, type validation at parse time, unknown-flag and
+// unknown-command suggestions, and the usage text generated from the
+// tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "util/cli.hpp"
 
@@ -20,13 +23,18 @@ constexpr cli::OptionSpec kSpecs[] = {
     {"metrics", cli::OptType::String, "", "PGTEST_METRICS", "*", "metrics"},
 };
 
-const std::vector<std::string> kCommands = {"gen", "estimate", "dse"};
+int run_nothing(const cli::Parsed&) { return 0; }
+
+constexpr cli::CommandSpec kCommands[] = {
+    {"gen", "generate a dataset", run_nothing},
+    {"estimate", "estimate power", run_nothing},
+    {"dse", "explore the design space", run_nothing},
+};
 
 cli::Parsed parse(std::initializer_list<const char*> argv) {
     std::vector<const char*> v{"powergear"};
     v.insert(v.end(), argv.begin(), argv.end());
-    return cli::parse(static_cast<int>(v.size()), v.data(), kSpecs,
-                      std::span<const std::string>(kCommands));
+    return cli::parse(static_cast<int>(v.size()), v.data(), kSpecs, kCommands);
 }
 
 /// RAII env var for the fallback tests.
@@ -46,6 +54,10 @@ TEST(Cli, ResolvesPrecedenceCommandLineOverEnvOverDefault) {
         parse({"gen", "--metrics", "cli.json", "--samples", "7"});
     EXPECT_EQ(explicit_win.get("metrics"), "cli.json");
     EXPECT_EQ(explicit_win.get_int("samples", -1), 7);
+    // get_int returns the fallback's type, so config fields of any integer
+    // type read as cfg.x = get_int("x", cfg.x).
+    const std::uint64_t wide = explicit_win.get_int("samples", std::uint64_t{1});
+    EXPECT_EQ(wide, 7u);
 
     const cli::Parsed env_win = parse({"gen"});
     EXPECT_EQ(env_win.get("metrics"), "from_env.json");
@@ -60,6 +72,10 @@ TEST(Cli, ResolvesPrecedenceCommandLineOverEnvOverDefault) {
 TEST(Cli, FlagsPositionalsAndCommand) {
     const cli::Parsed p = parse({"gen", "pos1", "--json", "pos2"});
     EXPECT_EQ(p.command(), "gen");
+    ASSERT_NE(p.command_spec(), nullptr);
+    EXPECT_STREQ(p.command_spec()->name, "gen");
+    EXPECT_EQ(parse({"bogus"}).command_spec(), nullptr);
+    EXPECT_EQ(parse({}).command_spec(), nullptr);
     EXPECT_TRUE(p.flag("json"));
     ASSERT_EQ(p.positional().size(), 2u);
     EXPECT_EQ(p.positional()[0], "pos1");
@@ -118,4 +134,46 @@ TEST(Cli, EditDistanceAndClosest) {
     const std::vector<std::string> cands = {"serve", "estimate", "gen"};
     EXPECT_EQ(cli::closest("sevre", cands), "serve");
     EXPECT_EQ(cli::closest("zzzzzz", cands), "");
+    EXPECT_EQ(cli::closest("gne", kCommands), "gen");
+    EXPECT_EQ(cli::closest("zzzzzz", kCommands), "");
+}
+
+TEST(Cli, UsageIsGeneratedFromTheTables) {
+    const std::string usage = cli::render_usage(kSpecs, kCommands);
+    for (const cli::CommandSpec& c : kCommands) {
+        EXPECT_NE(usage.find(std::string(c.name) + " "), std::string::npos)
+            << c.name;
+        EXPECT_NE(usage.find(c.summary), std::string::npos) << c.name;
+    }
+    // Each option gets exactly one entry: a "--name <placeholder>" line
+    // with its help, then a note line with commands, default and env.
+    const auto entry_of = [&](const std::string& head) {
+        std::size_t count = 0, at = std::string::npos;
+        for (std::size_t pos = usage.find("\n  " + head + " ");
+             pos != std::string::npos;
+             pos = usage.find("\n  " + head + " ", pos + 1)) {
+            ++count;
+            at = pos + 1;
+        }
+        EXPECT_EQ(count, 1u) << head;
+        if (at == std::string::npos) return std::string();
+        const std::size_t next = usage.find("\n  --", at);
+        return usage.substr(at, next == std::string::npos ? std::string::npos
+                                                          : next - at);
+    };
+    const std::string kernel = entry_of("--kernel <text>");
+    EXPECT_NE(kernel.find("[gen,estimate; default gemm]"), std::string::npos)
+        << kernel;
+    const std::string samples = entry_of("--samples <int>");
+    EXPECT_NE(samples.find("sample count"), std::string::npos) << samples;
+    EXPECT_NE(samples.find("[gen; default 24]"), std::string::npos)
+        << samples;
+    EXPECT_NE(entry_of("--budget <num>").find("[dse; default 0.4]"),
+              std::string::npos);
+    const std::string json = entry_of("--json");
+    EXPECT_NE(json.find("JSON output"), std::string::npos) << json;
+    EXPECT_NE(json.find("[gen]"), std::string::npos) << json;
+    EXPECT_NE(entry_of("--metrics <text>")
+                  .find("[all commands; env PGTEST_METRICS]"),
+              std::string::npos);
 }

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -436,6 +438,26 @@ TEST(ServeSocket, ShutdownRequestDrainsCleanly) {
     EXPECT_EQ(server.stats().requests, 1u);
     // Socket file removed on drain.
     EXPECT_NE(::access(sock.c_str(), F_OK), 0);
+}
+
+TEST(ServeSocket, StopRequestedBeforeStartIsKept) {
+    // A SIGTERM that lands while start() loads the model and binds the
+    // socket must still stop the daemon once it is up.
+    const std::string sock = fresh_socket_path();
+    const std::string model = sock + ".pgm";
+    TempFile model_guard(model);
+    put_model(model, true);
+    Server server(ServerConfig{sock, model});
+    server.poke_stop();
+    server.start();
+    std::future<void> waited =
+        std::async(std::launch::async, [&server] { server.wait(); });
+    const bool stopped =
+        waited.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    if (!stopped) server.poke_stop(); // unblock wait() so the test ends
+    waited.get();
+    EXPECT_TRUE(stopped) << "stop request issued before start() was lost";
+    EXPECT_FALSE(server.running());
 }
 
 TEST(ServeSocket, StaleSocketReplacedLiveDaemonRefused) {

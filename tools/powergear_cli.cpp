@@ -1,49 +1,14 @@
 // powergear — command-line front end for the library.
 //
-//   powergear gen      --kernel gemm --samples 24 [--size 16] [--csv out.csv]
-//   powergear train    --kernels atax,bicg,gemm --samples 24 --kind dynamic
-//                      --out model.pgm [--epochs N] [--folds K] [--seeds S]
-//   powergear estimate --model model.pgm --kernel mvt --samples 24
-//                      [--kind dynamic]
-//   powergear dse      --kernel atax --samples 48 --budget 0.4
-//                      [--train bicg,gemm,syrk]
-//   powergear dse      --kernel atax --stream [--chunk 64 --spread-gate G
-//                      --epsilon E --max-archive M --limit P]
-//   powergear dse      --kernel atax --shard i/N --cache-dir D
-//                      [--chunk 64 --limit P]
-//   powergear dse      --kernel atax --merge N --cache-dir D
-//                      [--chunk 64 --limit P]
-//   powergear serve    --model model.pgm --socket /tmp/pg.sock
-//                      [--max-batch N --batch-window-us U --max-queue N]
-//   powergear serve    --socket /tmp/pg.sock {--ping|--reload|--stop}
-//   powergear lint     [kernel] [--all] [--size 16] [--points 6] [--json]
-//                      [--sarif out.sarif]
-//   powergear cache    {stats|clear} [--cache-dir DIR]
-//   powergear version  (also: powergear --version)
-//
-// The command surface is declared once, as data: kSpecs below is the
-// util::cli option table (type, default, env fallback, per-command
-// applicability), and parsing/suggestions/type validation all come from
-// that single source. Exit contract: 0 = success, 1 = operational failure,
-// 2 = usage error (unknown/misapplied option, bad value, missing value).
-//
-// gen/train/estimate/dse/serve accept --jobs N to size the parallel runtime
-// (default: POWERGEAR_JOBS or hardware concurrency; 1 = serial) and the
-// pipeline commands take --cache-dir DIR (env fallback: POWERGEAR_CACHE) to
-// reuse stage artifacts across invocations through the content-addressed
-// io::Cache. Results are bit-identical for every job count, with and
-// without a warm cache.
-//
-// Every command accepts --metrics FILE (env fallback: POWERGEAR_METRICS)
-// to write an obs JSON report of per-phase latency percentiles, counters
-// (including cache hits/misses and serve requests/batches/reloads) and
-// throughput after the run — for serve, after the daemon drains.
-//
-// serve runs the long-lived estimation daemon (core/serve): the model
-// loads once, concurrent connections coalesce into batched estimate calls,
-// and SIGHUP (or `powergear serve --reload`) hot-swaps the model atomically
-// without dropping in-flight requests. SIGTERM/SIGINT (or `--stop`) drain
-// and exit cleanly.
+// The command surface is declared once, as data: kSpecs is the util::cli
+// option table (type, default, env fallback, per-command applicability,
+// help) and kCommands the command table (name, summary, entry point).
+// Parsing, suggestions, type validation and the usage text printed by a
+// bare `powergear` all come from those two tables. Where a library config
+// struct owns a default (GeneratorOptions, ServerConfig, ...), the spec
+// row leaves it empty and the command reads `cfg.x = a.get_int("x",
+// cfg.x)`. Exit contract: 0 = success, 1 = operational failure, 2 = usage
+// error (unknown/misapplied option, bad value, missing value).
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -79,22 +44,22 @@ using util::cli::UsageError;
 
 namespace {
 
-// The whole CLI surface, as data. Column order: name, type, default, env
-// fallback, applicable commands, help. parse() enforces the applicability
-// column and value types; getters resolve command line > env > default.
+// Every option, as data. Column order: name, type, default, env fallback,
+// applicable commands, help. parse() enforces the applicability column and
+// value types; getters resolve command line > env > default.
 constexpr util::cli::OptionSpec kSpecs[] = {
     {"kernel", OptType::String, "", "", "gen,estimate,dse,lint",
-     "kernel to generate/estimate/explore/lint"},
+     "kernel to generate, estimate, explore or lint"},
     {"kernels", OptType::String, "atax,bicg,gemm", "", "train",
      "comma-separated training kernels"},
     {"train", OptType::String, "bicg,gemm,syrk", "", "dse",
      "comma-separated kernels the DSE model trains on"},
-    {"samples", OptType::Int, "24", "", "gen,train,estimate,dse",
+    {"samples", OptType::Int, "", "", "gen,train,estimate,dse",
      "designs per dataset"},
-    {"size", OptType::Int, "16", "", "gen,train,estimate,dse,lint",
+    {"size", OptType::Int, "", "", "gen,train,estimate,dse,lint",
      "polybench problem size"},
-    {"seed", OptType::Int, "42", "", "gen,train,estimate,dse,lint",
-     "dataset RNG seed"},
+    {"seed", OptType::Int, "", "", "gen,train,estimate,dse,lint",
+     "dataset and stimulus RNG seed"},
     {"csv", OptType::String, "", "", "gen", "also write the table as CSV"},
     {"out", OptType::String, "", "", "train", "model artifact output path"},
     {"model", OptType::String, "", "", "estimate,serve",
@@ -105,42 +70,51 @@ constexpr util::cli::OptionSpec kSpecs[] = {
     {"folds", OptType::Int, "", "", "train", "cross-validation folds"},
     {"seeds", OptType::Int, "", "", "train", "ensemble seeds per fold"},
     {"hidden", OptType::Int, "", "", "train", "hidden layer width"},
-    {"budget", OptType::Double, "0.4", "", "dse",
-     "estimation budget fraction"},
+    {"budget", OptType::Double, "", "", "dse",
+     "fraction of the design space the budgeted explorer evaluates"},
     {"stream", OptType::Flag, "", "", "dse",
-     "use the streaming explorer (bounded memory, spread-guided)"},
+     "use the streaming explorer: bounded memory, incremental Pareto "
+     "archive, ground-truth promotion guided by the ensemble spread"},
     {"shard", OptType::String, "", "", "dse",
-     "run ground-truth sweep worker i/N against a shared cache"},
+     "run ground-truth sweep worker i/N into a shared --cache-dir; a "
+     "work-stealing manifest lets the N workers run concurrently or in any "
+     "order"},
     {"merge", OptType::Int, "", "", "dse",
-     "merge N shard frontiers from the cache and print the result"},
-    {"chunk", OptType::Int, "64", "", "dse",
+     "fold the N shard frontiers in --cache-dir into the final Pareto "
+     "front, bit-identical to a --shard 1/1 sweep merged with --merge 1"},
+    {"chunk", OptType::Int, "", "", "dse",
      "points per scoring batch / work-stealing unit"},
-    {"limit", OptType::Int, "0", "", "dse",
+    {"limit", OptType::Int, "", "", "dse",
      "cap swept candidate points (0 = full space)"},
-    {"spread-gate", OptType::Double, "0", "", "dse",
+    {"spread-gate", OptType::Double, "", "", "dse",
      "promote frontier entrants only above this x mean ensemble spread"},
-    {"epsilon", OptType::Double, "0", "", "dse",
+    {"epsilon", OptType::Double, "", "", "dse",
      "epsilon-dominance grid width (0 = exact frontier)"},
-    {"max-archive", OptType::Int, "0", "", "dse",
-     "frontier size cap; escalates epsilon when exceeded (0 = unbounded)"},
-    {"points", OptType::Int, "6", "", "lint", "design points per kernel"},
+    {"max-archive", OptType::Int, "", "", "dse",
+     "frontier size cap, 0 = unbounded; escalates epsilon when exceeded"},
+    {"points", OptType::Int, "", "", "lint", "design points per kernel"},
     {"json", OptType::Flag, "", "", "lint", "emit JSON diagnostics"},
-    {"all", OptType::Flag, "", "", "lint", "lint every registered kernel"},
+    {"all", OptType::Flag, "", "", "lint",
+     "lint every registered kernel, the extended ones too"},
     {"sarif", OptType::String, "", "", "lint",
      "write a SARIF 2.1.0 report"},
     {"jobs", OptType::Int, "", "", "gen,train,estimate,dse,serve",
-     "parallel runtime width (1 = serial)"},
+     "parallel runtime width (1 = serial; default POWERGEAR_JOBS or the "
+     "hardware concurrency); results are bit-identical at any width"},
     {"metrics", OptType::String, "", "POWERGEAR_METRICS", "*",
-     "write a powergear-obs-v1 JSON report after the run"},
+     "write a powergear-obs-v1 JSON report (per-phase latency percentiles, "
+     "counters, rates) after the run; serve writes it after draining"},
     {"cache-dir", OptType::String, "", "POWERGEAR_CACHE",
-     "gen,train,estimate,dse,cache", "pipeline cache root"},
+     "gen,train,estimate,dse,cache",
+     "content-addressed pipeline cache root: warm re-runs load sim traces, "
+     "samples and trained ensembles instead of recomputing them"},
     {"socket", OptType::String, "", "POWERGEAR_SOCKET", "serve",
      "Unix-domain socket the daemon binds / clients dial"},
-    {"max-batch", OptType::Int, "64", "", "serve",
+    {"max-batch", OptType::Int, "", "", "serve",
      "admission-queue coalescing cap"},
-    {"batch-window-us", OptType::Int, "200", "", "serve",
+    {"batch-window-us", OptType::Int, "", "", "serve",
      "linger for stragglers once a request lands"},
-    {"max-queue", OptType::Int, "1024", "", "serve",
+    {"max-queue", OptType::Int, "", "", "serve",
      "pending-request bound (readers block past it)"},
     {"ping", OptType::Flag, "", "", "serve", "probe a running daemon"},
     {"reload", OptType::Flag, "", "", "serve",
@@ -149,32 +123,12 @@ constexpr util::cli::OptionSpec kSpecs[] = {
      "ask a running daemon to drain and exit"},
 };
 
-const std::vector<std::string>& command_names() {
-    static const std::vector<std::string> names = {
-        "gen", "train", "estimate", "dse", "serve",
-        "lint", "cache", "version"};
-    return names;
-}
-
-/// Apply --jobs (gen/train/estimate/dse/serve) before any parallel work.
+/// Apply --jobs before any parallel work.
 void apply_jobs(const Parsed& a) {
     if (!a.has("jobs")) return;
     const int jobs = a.get_int("jobs", 0);
     if (jobs < 1) throw UsageError("--jobs must be a positive integer");
     util::set_parallel_jobs(jobs);
-}
-
-/// Metrics destination: --metrics wins, POWERGEAR_METRICS is the fallback
-/// (resolved by the option spec). Empty = observability stays off (the
-/// probes cost one atomic load each).
-std::string metrics_path(const Parsed& a) { return a.get("metrics"); }
-
-/// Turn recording on before the command runs (clearing anything a previous
-/// in-process run left behind).
-void metrics_begin(const std::string& path) {
-    if (path.empty()) return;
-    obs::set_enabled(true);
-    obs::reset();
 }
 
 /// Snapshot and persist the report after the command body finished.
@@ -197,24 +151,18 @@ std::vector<std::string> split_list(const std::string& csv) {
     return out;
 }
 
-/// Pipeline-cache root: --cache-dir wins, POWERGEAR_CACHE is the fallback,
-/// both empty = caching off.
-std::string cache_dir_of(const Parsed& a) {
-    return io::Cache::resolve(a.get("cache-dir")).root();
-}
-
 dataset::GeneratorOptions generator_options(const Parsed& a) {
     dataset::GeneratorOptions o;
-    o.samples_per_dataset = a.get_int("samples", 24);
-    o.problem_size = a.get_int("size", 16);
-    o.seed = static_cast<std::uint64_t>(a.get_int("seed", 42));
-    o.cache_dir = cache_dir_of(a);
+    o.samples_per_dataset = a.get_int("samples", o.samples_per_dataset);
+    o.problem_size = a.get_int("size", o.problem_size);
+    o.seed = a.get_int("seed", o.seed);
+    o.cache_dir = a.get("cache-dir");
     return o;
 }
 
 dataset::PowerKind kind_of(const Parsed& a) {
-    return a.get("kind", "total") == "dynamic" ? dataset::PowerKind::Dynamic
-                                               : dataset::PowerKind::Total;
+    return a.get("kind") == "dynamic" ? dataset::PowerKind::Dynamic
+                                      : dataset::PowerKind::Total;
 }
 
 int cmd_gen(const Parsed& a) {
@@ -247,7 +195,7 @@ int cmd_gen(const Parsed& a) {
 }
 
 int cmd_train(const Parsed& a) {
-    const auto kernels = split_list(a.get("kernels", "atax,bicg,gemm"));
+    const auto kernels = split_list(a.get("kernels"));
     if (kernels.empty() || !a.has("out")) {
         std::fprintf(stderr, "error: train needs --kernels and --out\n");
         return 1;
@@ -274,7 +222,7 @@ int cmd_train(const Parsed& a) {
                 opts.kind == dataset::PowerKind::Dynamic ? "dynamic" : "total",
                 opts.folds, opts.seeds);
     core::PowerGear pg(opts);
-    if (pg.fit_cached(pool, io::Cache(cache_dir_of(a))))
+    if (pg.fit_cached(pool, io::Cache(a.get("cache-dir"))))
         std::printf("loaded trained ensemble from the pipeline cache\n");
     pg.save(a.get("out"));
     std::printf("saved %d-member ensemble to %s\n", pg.num_members(),
@@ -318,11 +266,32 @@ int cmd_estimate(const Parsed& a) {
 
 dse::ArchiveConfig archive_config(const Parsed& a) {
     dse::ArchiveConfig cfg;
-    cfg.epsilon = a.get_double("epsilon", 0.0);
-    const int cap = a.get_int("max-archive", 0);
+    cfg.epsilon = a.get_double("epsilon", cfg.epsilon);
+    const long long cap = a.get_int<long long>("max-archive", cfg.max_size);
     if (cap < 0) throw UsageError("--max-archive must be >= 0");
     cfg.max_size = static_cast<std::size_t>(cap);
     return cfg;
+}
+
+/// Sweep geometry shared by --shard and --merge. Both feed chunk and limit
+/// into shard_space_key, so reading them in one place keeps --merge
+/// addressing the artifacts the workers wrote.
+dse::ShardConfig shard_config(const Parsed& a) {
+    dse::ShardConfig cfg;
+    cfg.chunk = a.get_int("chunk", cfg.chunk);
+    cfg.limit = a.get_int("limit", cfg.limit);
+    cfg.archive = archive_config(a);
+    return cfg;
+}
+
+/// The cache --shard workers meet in and --merge reads; an operational
+/// failure (exit 1) without one.
+io::Cache shard_cache(const Parsed& a, const std::string& mode) {
+    io::Cache cache(a.get("cache-dir"));
+    if (!cache.enabled())
+        throw std::runtime_error("dse --" + mode +
+                                 " needs --cache-dir DIR (or POWERGEAR_CACHE)");
+    return cache;
 }
 
 /// Frontier rows printed with %.17g so bit-identical frontiers produce
@@ -338,26 +307,16 @@ void print_frontier(const std::vector<dse::Point>& front) {
 
 /// Ground-truth sweep worker: claim chunks through the manifest, generate
 /// samples into the shared cache, publish this worker's frontier artifact.
-int cmd_dse_shard(const Parsed& a) {
+int cmd_dse_shard(const Parsed& a, const std::string& kernel) {
     const util::cli::ShardSpec spec = util::cli::parse_shard(a.get("shard"));
-    const io::Cache cache = io::Cache::resolve(a.get("cache-dir"));
-    if (!cache.enabled()) {
-        std::fprintf(stderr,
-                     "error: dse --shard needs --cache-dir DIR (or "
-                     "POWERGEAR_CACHE) — workers meet in the cache\n");
-        return 1;
-    }
-    const ir::Function fn = kernels::build_polybench(a.get("kernel", "atax"),
-                                                     a.get_int("size", 16));
-    dse::ShardConfig cfg;
+    const io::Cache cache = shard_cache(a, "shard");
+    const dataset::GeneratorOptions gen = generator_options(a);
+    const ir::Function fn = kernels::build_polybench(kernel, gen.problem_size);
+    dse::ShardConfig cfg = shard_config(a);
     cfg.worker = spec.index;
     cfg.num_workers = spec.count;
-    cfg.chunk = static_cast<std::size_t>(a.get_int("chunk", 64));
-    cfg.limit = static_cast<std::uint64_t>(a.get_int("limit", 0));
-    cfg.archive = archive_config(a);
     const dse::ShardOutcome out =
-        dse::run_shard(fn, generator_options(a), dataset::PowerKind::Dynamic,
-                       cache, cfg);
+        dse::run_shard(fn, gen, dataset::PowerKind::Dynamic, cache, cfg);
     std::printf("shard %llu/%llu: %llu chunk(s) claimed (%llu stolen), "
                 "%llu point(s), frontier %zu\n",
                 static_cast<unsigned long long>(spec.index),
@@ -370,26 +329,19 @@ int cmd_dse_shard(const Parsed& a) {
     return 0;
 }
 
-int cmd_dse_merge(const Parsed& a) {
+int cmd_dse_merge(const Parsed& a, const std::string& kernel) {
     const int n = a.get_int("merge", 0);
     if (n < 1) throw UsageError("--merge expects the shard count N (>= 1)");
-    const io::Cache cache = io::Cache::resolve(a.get("cache-dir"));
-    if (!cache.enabled()) {
-        std::fprintf(stderr,
-                     "error: dse --merge needs --cache-dir DIR (or "
-                     "POWERGEAR_CACHE)\n");
-        return 1;
-    }
-    const ir::Function fn = kernels::build_polybench(a.get("kernel", "atax"),
-                                                     a.get_int("size", 16));
-    const std::uint64_t key = dse::shard_space_key(
-        fn, generator_options(a), dataset::PowerKind::Dynamic,
-        static_cast<std::size_t>(a.get_int("chunk", 64)),
-        static_cast<std::uint64_t>(a.get_int("limit", 0)),
-        static_cast<std::uint64_t>(n));
+    const io::Cache cache = shard_cache(a, "merge");
+    const dataset::GeneratorOptions gen = generator_options(a);
+    const ir::Function fn = kernels::build_polybench(kernel, gen.problem_size);
+    const dse::ShardConfig cfg = shard_config(a);
+    const auto workers = static_cast<std::uint64_t>(n);
+    const std::uint64_t key =
+        dse::shard_space_key(fn, gen, dataset::PowerKind::Dynamic, cfg.chunk,
+                             cfg.limit, workers);
     const std::vector<dse::Point> front =
-        dse::merge_shards(cache, key, static_cast<std::uint64_t>(n),
-                          archive_config(a));
+        dse::merge_shards(cache, key, workers, cfg.archive);
     std::printf("merged %d shard(s): frontier %zu point(s)\n", n,
                 front.size());
     print_frontier(front);
@@ -397,10 +349,10 @@ int cmd_dse_merge(const Parsed& a) {
 }
 
 int cmd_dse(const Parsed& a) {
-    if (a.has("shard")) return cmd_dse_shard(a);
-    if (a.has("merge")) return cmd_dse_merge(a);
     const std::string target = a.get("kernel", "atax");
-    const auto train_kernels = split_list(a.get("train", "bicg,gemm,syrk"));
+    if (a.has("shard")) return cmd_dse_shard(a, target);
+    if (a.has("merge")) return cmd_dse_merge(a, target);
+    const auto train_kernels = split_list(a.get("train"));
     std::vector<dataset::Dataset> suite;
     for (const std::string& k : train_kernels)
         suite.push_back(dataset::generate_dataset(k, generator_options(a)));
@@ -411,17 +363,15 @@ int cmd_dse(const Parsed& a) {
         util::bench_scale(), dataset::PowerKind::Dynamic);
     core::PowerGear pg(opts);
     if (pg.fit_cached(dataset::pool_except(suite, tgt),
-                      io::Cache(cache_dir_of(a))))
+                      io::Cache(a.get("cache-dir"))))
         std::printf("loaded trained ensemble from the pipeline cache\n");
 
     if (a.flag("stream")) {
         dse::StreamConfig scfg;
-        scfg.chunk = static_cast<std::size_t>(a.get_int("chunk", 64));
-        scfg.spread_gate = a.get_double("spread-gate", 0.0);
+        scfg.chunk = a.get_int("chunk", scfg.chunk);
+        scfg.spread_gate = a.get_double("spread-gate", scfg.spread_gate);
         scfg.archive = archive_config(a);
-        if (a.has("limit"))
-            scfg.max_points =
-                static_cast<std::uint64_t>(a.get_int("limit", 0));
+        scfg.max_points = a.get_int("limit", scfg.max_points);
         const dse::StreamingExplorer explorer(scfg);
         const dse::StreamResult res = explorer.run(
             dataset::pool_of(suite[tgt]), pg, dataset::PowerKind::Dynamic);
@@ -436,7 +386,7 @@ int cmd_dse(const Parsed& a) {
     }
 
     dse::ExplorerConfig cfg;
-    cfg.total_budget = a.get_double("budget", 0.4);
+    cfg.total_budget = a.get_double("budget", cfg.total_budget);
     const dse::Explorer explorer(cfg);
     const dse::DseResult res = explorer.run(
         dataset::pool_of(suite[tgt]), pg, dataset::PowerKind::Dynamic);
@@ -508,9 +458,8 @@ int cmd_serve(const Parsed& a) {
 
     core::serve::Server server(cfg);
     g_server = &server;
-    std::signal(SIGHUP, serve_signal);
-    std::signal(SIGTERM, serve_signal);
-    std::signal(SIGINT, serve_signal);
+    for (const int sig : {SIGHUP, SIGTERM, SIGINT})
+        std::signal(sig, serve_signal);
     server.start();
     std::fprintf(stderr,
                  "serve: listening on %s (model %s, %llu member(s); "
@@ -518,9 +467,7 @@ int cmd_serve(const Parsed& a) {
                  socket.c_str(), cfg.model_path.c_str(),
                  static_cast<unsigned long long>(server.generation()));
     server.wait();
-    std::signal(SIGHUP, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    std::signal(SIGINT, SIG_DFL);
+    for (const int sig : {SIGHUP, SIGTERM, SIGINT}) std::signal(sig, SIG_DFL);
     g_server = nullptr;
     const core::serve::Server::Stats st = server.stats();
     std::fprintf(stderr,
@@ -550,9 +497,9 @@ int cmd_lint(const Parsed& a) {
     }
 
     analysis::LintOptions lo;
-    lo.design_points = a.get_int("points", 6);
-    lo.seed = static_cast<std::uint64_t>(a.get_int("seed", 42));
-    const int size = a.get_int("size", 16);
+    lo.design_points = a.get_int("points", lo.design_points);
+    lo.seed = a.get_int("seed", lo.seed);
+    const int size = generator_options(a).problem_size;
     const bool json = a.flag("json");
 
     analysis::Report all;
@@ -588,7 +535,7 @@ int cmd_cache(const Parsed& a) {
     if (action != "stats" && action != "clear")
         throw UsageError("cache action must be 'stats' or 'clear' (got '" +
                          action + "')");
-    const io::Cache cache = io::Cache::resolve(a.get("cache-dir"));
+    const io::Cache cache(a.get("cache-dir"));
     if (!cache.enabled()) {
         std::fprintf(stderr,
                      "error: cache %s needs --cache-dir DIR or "
@@ -619,7 +566,7 @@ int cmd_cache(const Parsed& a) {
     return 0;
 }
 
-int cmd_version() {
+int cmd_version(const Parsed&) {
     // One "name version" pair per line, grep-friendly for scripts and CI.
     std::printf("powergear-artifact %s\n", io::kArtifactFormatName);
     std::printf("powergear-metrics powergear-obs-v1\n");
@@ -628,108 +575,64 @@ int cmd_version() {
     return 0;
 }
 
-void usage() {
-    std::printf(
-        "powergear — early-stage HLS power estimation (PowerGear reproduction)\n"
-        "\n"
-        "usage: powergear <command> [options]\n"
-        "\n"
-        "  gen       --kernel K [--samples N --size S --seed X --csv F]\n"
-        "            [--jobs N] [--metrics F] [--cache-dir D]\n"
-        "            generate one dataset and dump its designs\n"
-        "  train     --kernels A,B,C --out M.pgm [--kind dynamic --epochs N\n"
-        "            --folds K --seeds S --hidden H]\n"
-        "            [--jobs N] [--metrics F] [--cache-dir D]\n"
-        "            train an ensemble and save it as a model artifact\n"
-        "  estimate  --model M.pgm --kernel K [--kind dynamic]\n"
-        "            [--jobs N] [--metrics F] [--cache-dir D]\n"
-        "            estimate every design of a kernel vs. board labels\n"
-        "  dse       --kernel K [--train A,B,C --budget 0.4]\n"
-        "            [--jobs N] [--metrics F] [--cache-dir D]\n"
-        "            explore a design space under an estimation budget.\n"
-        "            --stream uses the streaming explorer (bounded memory,\n"
-        "            incremental Pareto archive, ensemble-spread-guided\n"
-        "            ground-truth promotion; tune --chunk/--spread-gate/\n"
-        "            --epsilon/--max-archive/--limit).\n"
-        "            --shard i/N runs ground-truth sweep worker i of N into\n"
-        "            a shared --cache-dir (work-stealing manifest; run all\n"
-        "            N workers concurrently or in any order), then\n"
-        "            --merge N folds the shard frontiers into the final\n"
-        "            Pareto front — bit-identical to a --shard 1/1 sweep\n"
-        "            merged with --merge 1\n"
-        "  serve     --model M.pgm --socket P [--max-batch N\n"
-        "            --batch-window-us U --max-queue N] [--jobs N]\n"
-        "            [--metrics F]\n"
-        "            run the estimation daemon: load the model once, answer\n"
-        "            framed requests on a Unix socket, coalesce concurrent\n"
-        "            clients into batched estimates. SIGHUP hot-swaps the\n"
-        "            model without dropping requests; SIGTERM drains.\n"
-        "            with --ping/--reload/--stop, talk to a running daemon\n"
-        "            instead (env POWERGEAR_SOCKET supplies --socket)\n"
-        "  lint      [K] [--all --size S --points N --json --sarif F]\n"
-        "            [--metrics F]\n"
-        "            static-check the pipeline artifacts of one kernel\n"
-        "            (default: the paper's nine; --all adds the extended\n"
-        "            kernels); --sarif F writes a SARIF 2.1.0 report.\n"
-        "            exit 0 = no errors (warnings are advisory),\n"
-        "            2 = error diagnostics, 1 = operational failure\n"
-        "  cache     {stats|clear} [--cache-dir D]\n"
-        "            inspect or empty the pipeline cache\n"
-        "  version   print the on-disk format versions (also: --version)\n"
-        "\n"
-        "common options:\n"
-        "  --jobs N       parallel runtime width (env POWERGEAR_JOBS; 1 =\n"
-        "                 serial — results are bit-identical at any width)\n"
-        "  --metrics F    write a powergear-obs-v1 JSON report (p50/p95/max\n"
-        "                 ms, counters incl. cache hits/misses and serve\n"
-        "                 requests/batches/reloads, rates) after the run\n"
-        "                 (env POWERGEAR_METRICS)\n"
-        "  --cache-dir D  content-addressed pipeline cache root (env\n"
-        "                 POWERGEAR_CACHE): warm re-runs load sim traces,\n"
-        "                 samples and trained ensembles bit-identically\n"
-        "                 instead of recomputing them\n");
-}
+// Every command, as data: dispatch, "did you mean" and usage all read it.
+constexpr util::cli::CommandSpec kCommands[] = {
+    {"gen", "generate one dataset and print its designs", cmd_gen},
+    {"train", "train an ensemble on --kernels and save it to --out",
+     cmd_train},
+    {"estimate", "estimate every design of --kernel with --model vs. labels",
+     cmd_estimate},
+    {"dse",
+     "explore a kernel's design space under an estimation --budget, with "
+     "--stream, or as a sharded sweep (--shard on each worker, then --merge)",
+     cmd_dse},
+    {"serve",
+     "run the estimation daemon: load --model once and answer batched "
+     "requests on --socket; SIGHUP hot-swaps the model, SIGTERM drains. "
+     "With --ping, --reload or --stop, talk to a running daemon instead",
+     cmd_serve},
+    {"lint",
+     "static-check the pipeline artifacts of a kernel (positional or "
+     "--kernel; default: the paper's nine). Exit 0 = no errors, 2 = error "
+     "diagnostics, 1 = operational failure",
+     cmd_lint},
+    {"cache", "stats | clear: inspect or empty the --cache-dir pipeline cache",
+     cmd_cache},
+    {"version", "print the on-disk format versions (also: --version)",
+     cmd_version},
+};
 
 } // namespace
 
 int main(int argc, char** argv) {
+    std::vector<const char*> args_v(argv, argv + argc);
+    if (argc >= 2 && std::strcmp(argv[1], "--version") == 0)
+        args_v[1] = "version";
     try {
-        const Parsed args = util::cli::parse(
-            argc, argv, kSpecs,
-            std::span<const std::string>(command_names()));
-        if (args.command() == "version" || args.command() == "--version")
-            return cmd_version();
-        const bool known =
-            args.command() == "gen" || args.command() == "train" ||
-            args.command() == "estimate" || args.command() == "dse" ||
-            args.command() == "serve" || args.command() == "lint" ||
-            args.command() == "cache";
-        if (!known) {
-            if (!args.command().empty()) {
-                const std::string hint = util::cli::closest(
-                    args.command(),
-                    std::span<const std::string>(command_names()));
-                if (!hint.empty())
-                    std::fprintf(stderr,
-                                 "error: unknown command '%s' (did you mean "
-                                 "'%s'?)\n\n",
-                                 args.command().c_str(), hint.c_str());
-            }
-            usage();
+        const Parsed args = util::cli::parse(argc, args_v.data(), kSpecs,
+                                             kCommands);
+        const util::cli::CommandSpec* cmd = args.command_spec();
+        if (!cmd) {
+            const std::string hint =
+                util::cli::closest(args.command(), kCommands);
+            if (!args.command().empty() && !hint.empty())
+                std::fprintf(stderr,
+                             "error: unknown command '%s' (did you mean "
+                             "'%s'?)\n\n",
+                             args.command().c_str(), hint.c_str());
+            std::printf("powergear — early-stage HLS power estimation "
+                        "(PowerGear reproduction)\n\n"
+                        "usage: powergear <command> [options]\n\n%s",
+                        util::cli::render_usage(kSpecs, kCommands).c_str());
             return args.command().empty() ? 0 : 1;
         }
-        if (args.command() != "lint" && args.command() != "cache")
-            apply_jobs(args);
-        const std::string metrics = metrics_path(args);
-        metrics_begin(metrics);
-        int rc = 0;
-        if (args.command() == "gen") rc = cmd_gen(args);
-        else if (args.command() == "train") rc = cmd_train(args);
-        else if (args.command() == "estimate") rc = cmd_estimate(args);
-        else if (args.command() == "dse") rc = cmd_dse(args);
-        else if (args.command() == "serve") rc = cmd_serve(args);
-        else if (args.command() == "cache") rc = cmd_cache(args);
-        else rc = cmd_lint(args);
+        apply_jobs(args);
+        const std::string metrics = args.get("metrics");
+        if (!metrics.empty()) {
+            obs::set_enabled(true);
+            obs::reset();
+        }
+        const int rc = cmd->run(args);
         metrics_end(metrics);
         return rc;
     } catch (const UsageError& e) {

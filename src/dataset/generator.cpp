@@ -217,7 +217,9 @@ std::vector<Sample> run_point_pipeline(const ir::Function& fn,
             hls::synthesize(fn, hls::Directives{}).report;
 
         // Design points are independent given the shared trace and baseline
-        // report (both read-only from here): the HLS -> activity -> graph ->
+        // report: the report and the trace's values are read-only from here,
+        // and the trace's activity memo is filled under its own lock
+        // (DESIGN §7). The HLS -> activity -> graph ->
         // board-label flow fans out one task per missed point. Every
         // stochastic input (stimulus trace, per-sample measurement jitter)
         // is derived from hashes of (kernel, design_index), not from a

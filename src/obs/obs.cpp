@@ -29,6 +29,7 @@ const char* phase_name(Phase p) {
     case Phase::Cache: return "cache";
     case Phase::Serve: return "serve";
     case Phase::Place: return "place";
+    case Phase::Activity: return "activity";
     case Phase::kCount: break;
     }
     return "unknown";

@@ -42,6 +42,7 @@ enum class Phase : int {
     Cache,           ///< io::Cache — pipeline-cache hits/misses/stores
     Serve,           ///< core::serve — per-request daemon latency + counters
     Place,           ///< fpga::place — annealing placement (board + Vivado-like)
+    Activity,        ///< sim::ActivityOracle — per-kernel activity-count memo misses
     kCount
 };
 

@@ -11,15 +11,17 @@
 // loop handles iterations congruent to r mod f), so activity features are
 // directive-dependent even though the IR trace is shared.
 //
-// The stats paths are allocation-free and memoized: graph construction and
-// netlist expansion query the same pins repeatedly, and the oracle sits on
-// PowerGear's measured estimation-runtime path (Table I speedup).
+// The statistics depend only on the instruction, the operand and the unroll
+// factors along the instruction's loop chain, never on the rest of the
+// design point, so they are computed once per kernel trace: integer
+// per-replica counts live in the Trace's memo (sim/interpreter.hpp), and
+// each oracle divides them by its own latency. One pass over an
+// instruction's trace fills every replica, with the loop coordinates
+// advanced like an odometer instead of decomposed per execution.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "hls/elaborate.hpp"
@@ -36,6 +38,13 @@ struct DirStats {
 
 class ActivityOracle {
 public:
+    /// Deepest loop nesting the oracle supports (Polybench needs 3).
+    static constexpr int kMaxChainDepth = 16;
+
+    /// The oracle borrows every argument. `trace` must be the trace of `fn`
+    /// (see Trace for the rules its memo relies on). Throws
+    /// std::invalid_argument when an instruction is nested deeper than
+    /// kMaxChainDepth loops.
     ActivityOracle(const ir::Function& fn, const hls::ElabGraph& elab,
                    const Trace& trace, std::int64_t latency_cycles);
 
@@ -55,40 +64,38 @@ public:
     std::int64_t latency() const { return latency_; }
 
 private:
-    /// Deepest loop nesting the oracle supports (Polybench needs 3).
-    static constexpr int kMaxChainDepth = 16;
-
     struct ChainInfo {
         std::vector<int> loops;   ///< outermost first
         std::vector<int> trips;
         std::vector<int> unrolls;
+        int replicas = 1;         ///< product of `unrolls`
     };
 
-    /// Decompose execution index s into loop coordinates (caller buffer).
-    void coords_of(const ChainInfo& ci, std::int64_t s, int* coords) const;
-    /// Replica handled at coordinates (coord % unroll digits composed).
-    int replica_at(const ChainInfo& ci, const int* coords) const;
+    /// Visit every execution of `instr` in trace order as visit(replica,
+    /// value), where value is what the stream of `operand` (-1: the
+    /// produced stream) carries at that execution.
+    template <typename Fn>
+    void walk(int instr, int operand, Fn&& visit) const;
+
+    /// Per-replica counts of one stream, from the trace's memo or, on a
+    /// miss, from one walk.
+    const std::vector<StreamCounts>& counts(int instr, int operand) const;
+
+    /// Stats of one stream of `op_id` (`operand` -1: produced), filling
+    /// those of every replica of its instruction on first use.
+    const DirStats& stats(int op_id, int operand) const;
 
     /// Execution indices handled by (instr, replica); built lazily.
     const std::vector<std::int64_t>& executions(int instr, int replica) const;
-
-    /// Iterate the execution indices of (instr, replica) without
-    /// materializing a list for the unreplicated common case.
-    template <typename Fn>
-    void for_each_execution(int instr, int replica, Fn&& visit) const;
-
-    /// Stream the values consumed via one pin without materializing them.
-    template <typename Fn>
-    void visit_consumed(int op_id, int operand_index, Fn&& visit) const;
 
     const ir::Function& fn_;
     const hls::ElabGraph& elab_;
     const Trace& trace_;
     std::int64_t latency_;
     std::vector<ChainInfo> chains_; ///< per instruction
+    std::vector<int> stats_base_;   ///< per op: its produced slot in stats_
+    mutable std::vector<std::optional<DirStats>> stats_;
     mutable std::vector<std::vector<std::vector<std::int64_t>>> exec_cache_;
-    mutable std::vector<std::optional<DirStats>> produced_cache_;
-    mutable std::map<std::pair<int, int>, DirStats> consumed_cache_;
 };
 
 } // namespace powergear::sim

@@ -42,6 +42,12 @@ assert place is not None, f"gen metrics lack the place phase: {sorted(phases)}"
 # One board placement and one Vivado-like placement per design point.
 assert place["calls"] == 8, f"want 8 placements for 4 points, got {place}"
 assert place["counters"].get("moves", 0) > 0, f"place phase has no moves: {place}"
+# Activity statistics are counted once per kernel trace and shared by the
+# design points: both misses (streams) and memo hits show.
+act = phases.get("activity")
+assert act is not None, f"gen metrics lack the activity phase: {sorted(phases)}"
+assert act["counters"].get("streams", 0) > 0, f"activity phase has no streams: {act}"
+assert act["counters"].get("hits", 0) > 0, f"activity phase has no hits: {act}"
 EOF
 
 echo "--- POWERGEAR_METRICS env fallback"

@@ -157,6 +157,12 @@ TEST_F(ObsTest, CounterTotalsIdenticalAcrossJobCounts) {
     // Board and Vivado-like placement: two per design point.
     EXPECT_EQ(serial.phases.at("place").calls, 12u);
     EXPECT_GT(serial.phases.at("place").counters.at("moves"), 0u);
+    // The six points share one trace: each activity stream is counted once
+    // (one timed miss per memo entry), later designs hit the memo.
+    const obs::PhaseStats& act = serial.phases.at("activity");
+    EXPECT_GT(act.counters.at("streams"), 0u);
+    EXPECT_GT(act.counters.at("hits"), 0u);
+    EXPECT_EQ(act.calls, act.counters.at("streams"));
 }
 
 TEST_F(ObsTest, ReportJsonRoundTrip) {

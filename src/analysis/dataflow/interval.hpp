@@ -23,7 +23,6 @@ struct Interval {
     std::int64_t hi = -1;
 
     bool empty() const { return lo > hi; }
-    bool is_point() const { return lo == hi; }
 
     static Interval point(std::int64_t v) { return {v, v}; }
     static Interval range(std::int64_t l, std::int64_t h) { return {l, h}; }

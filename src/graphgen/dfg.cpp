@@ -11,13 +11,6 @@ int WorkGraph::live_nodes() const {
     return n;
 }
 
-int WorkGraph::live_edges() const {
-    int n = 0;
-    for (const WorkEdge& e : edges)
-        if (!e.removed) ++n;
-    return n;
-}
-
 void WorkGraph::compact() {
     std::vector<int> remap(nodes.size(), -1);
     std::vector<WorkNode> new_nodes;

@@ -46,7 +46,6 @@ struct WorkGraph {
     std::vector<int> node_of_op; ///< elab op id -> current node (-1 removed)
 
     int live_nodes() const;
-    int live_edges() const;
 
     /// Drop removed nodes/edges and coalesce parallel edges (same src/dst),
     /// merging their provenance lists.

@@ -56,7 +56,6 @@ public:
     /// (includes index 0, the unoptimized baseline).
     std::vector<Directives> sample(int count) const;
 
-    int num_tunable_loops() const { return static_cast<int>(loop_ids_.size()); }
     int num_tunable_arrays() const { return static_cast<int>(array_ids_.size()); }
 
 private:

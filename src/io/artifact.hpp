@@ -2,9 +2,10 @@
 // stage persists through.
 //
 // A framed artifact is [header | payload]. The 40-byte header carries a
-// magic, the container format version, an 8-byte stage tag ("hls", "sim",
-// "graph", "sample", "model"), a per-stage payload schema version, the
-// payload size and a FNV-1a checksum of the payload bytes. Readers verify
+// magic, the container format version, an 8-byte stage tag ("sim",
+// "sample", "model", "dse", "req", "resp"), a per-stage payload schema
+// version, the payload size and a FNV-1a checksum of the payload bytes.
+// Readers verify
 // all five before touching the payload, so a truncated, corrupt or
 // mis-staged file fails loudly with a diagnostic instead of decoding into
 // garbage. All multi-byte fields are written little-endian byte by byte and

@@ -1,22 +1,19 @@
 // Per-stage artifact codecs over the powergear-art-v1 container.
 //
-// One encode/decode pair per pipeline stage, matching the stage graph
-// hls -> sim -> graphgen -> sample -> model (DESIGN.md §9):
+// One encode/decode pair per persisted stage (DESIGN.md §9):
 //
 //   stage tag   payload                                  upstream
-//   "hls"       hls::Schedule + hls::HlsReport           kernel IR
 //   "sim"       sim::Trace                               kernel IR
-//   "graph"     graphgen::Graph                          hls + sim
-//   "sample"    dataset::Sample (graph, features, labels) graph + board
+//   "sample"    dataset::Sample (graph, features, labels) trace + board
 //   "model"     gnn::Ensemble (configs + weights)        samples
 //   "dse"       dse::Point frontier (shard artifacts)    samples
 //
 // encode_* produce raw little-endian payload bytes (hash those for content
-// addressing); save_*_file frame them and write atomically; load_*_file
-// validate the frame and decode. Decoders are strict: truncated payloads,
-// trailing bytes, out-of-range indices and non-finite graph features all
-// throw std::runtime_error with a message naming the defect. Round trips
-// are bit-exact, including the float/double fields.
+// addressing); io::frame/unframe add and check the container header, and
+// save/load_ensemble_file do both for the model file. Decoders are strict:
+// truncated payloads, trailing bytes, out-of-range indices and non-finite
+// graph features all throw std::runtime_error with a message naming the
+// defect. Round trips are bit-exact, including the float/double fields.
 #pragma once
 
 #include <cstdint>
@@ -26,48 +23,33 @@
 #include "dataset/sample.hpp"
 #include "dse/pareto.hpp"
 #include "gnn/ensemble.hpp"
-#include "hls/report.hpp"
 #include "io/artifact.hpp"
 #include "sim/interpreter.hpp"
 
 namespace powergear::io {
 
 // Stage tags (the 8-byte header field) and payload schema versions.
-constexpr char kStageHls[] = "hls";
 constexpr char kStageSim[] = "sim";
-constexpr char kStageGraph[] = "graph";
 constexpr char kStageSample[] = "sample";
 constexpr char kStageModel[] = "model";
 constexpr char kStageDse[] = "dse";
 
-constexpr std::uint32_t kHlsPayloadVersion = 1;
 constexpr std::uint32_t kSimPayloadVersion = 1;
-constexpr std::uint32_t kGraphPayloadVersion = 1;
 constexpr std::uint32_t kSamplePayloadVersion = 1;
 constexpr std::uint32_t kModelPayloadVersion = 1;
 constexpr std::uint32_t kDsePayloadVersion = 1;
-
-// --- hls stage: schedule + report -------------------------------------------
-std::vector<std::uint8_t> encode_hls(const hls::Schedule& sched,
-                                     const hls::HlsReport& report);
-void decode_hls(const std::vector<std::uint8_t>& payload, hls::Schedule& sched,
-                hls::HlsReport& report);
 
 // --- sim stage: value trace --------------------------------------------------
 std::vector<std::uint8_t> encode_trace(const sim::Trace& trace);
 sim::Trace decode_trace(const std::vector<std::uint8_t>& payload);
 
-// --- graphgen stage: power graph --------------------------------------------
-std::vector<std::uint8_t> encode_graph(const graphgen::Graph& g);
-/// Rejects graphs that fail graphgen::Graph::valid (bad endpoints,
-/// non-finite features), so NaN/inf can never enter via a crafted file.
-graphgen::Graph decode_graph(const std::vector<std::uint8_t>& payload);
-
 // --- sample stage: one design point -----------------------------------------
 std::vector<std::uint8_t> encode_sample(const dataset::Sample& s);
 /// Restores every stored field bit-exactly and rebuilds the NN tensor view
 /// deterministically with gnn::GraphTensors::from (identical to the tensors
-/// a cold run computes).
+/// a cold run computes). Rejects graphs that fail graphgen::Graph::valid
+/// (bad endpoints, non-finite features), so NaN/inf can never enter via a
+/// crafted file.
 dataset::Sample decode_sample(const std::vector<std::uint8_t>& payload);
 
 // --- model stage: trained ensemble ------------------------------------------
@@ -80,17 +62,7 @@ std::vector<std::uint8_t> encode_points(const std::vector<dse::Point>& pts);
 /// feed NaN/inf into the dominance order.
 std::vector<dse::Point> decode_points(const std::vector<std::uint8_t>& payload);
 
-// --- framed file conveniences ------------------------------------------------
-void save_hls_file(const std::string& path, const hls::Schedule& sched,
-                   const hls::HlsReport& report);
-void load_hls_file(const std::string& path, hls::Schedule& sched,
-                   hls::HlsReport& report);
-void save_trace_file(const std::string& path, const sim::Trace& trace);
-sim::Trace load_trace_file(const std::string& path);
-void save_graph_file(const std::string& path, const graphgen::Graph& g);
-graphgen::Graph load_graph_file(const std::string& path);
-void save_sample_file(const std::string& path, const dataset::Sample& s);
-dataset::Sample load_sample_file(const std::string& path);
+// --- framed model file ------------------------------------------------------
 void save_ensemble_file(const std::string& path, const gnn::Ensemble& e);
 gnn::Ensemble load_ensemble_file(const std::string& path);
 

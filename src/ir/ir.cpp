@@ -95,13 +95,6 @@ std::vector<int> Function::region_instrs(int loop_id) const {
     return out;
 }
 
-std::vector<int> Function::loop_children(int loop_id) const {
-    std::vector<int> out;
-    for (const BodyItem& item : region(loop_id))
-        if (item.kind == BodyItem::Kind::ChildLoop) out.push_back(item.index);
-    return out;
-}
-
 bool Function::is_innermost(int loop_id) const {
     for (const BodyItem& item : loop(loop_id).body)
         if (item.kind == BodyItem::Kind::ChildLoop) return false;

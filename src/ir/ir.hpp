@@ -121,9 +121,6 @@ struct Function {
     /// (child-loop bodies excluded), in statement order.
     std::vector<int> region_instrs(int loop_id) const;
 
-    /// Ids of the direct child loops of a region (-1 = top level).
-    std::vector<int> loop_children(int loop_id) const;
-
     /// True when `loop_id` contains no child loops.
     bool is_innermost(int loop_id) const;
 

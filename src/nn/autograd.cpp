@@ -171,8 +171,7 @@ int Tape::dropout(int x, float p, util::Rng& rng, bool training) {
     });
 }
 
-int Tape::gather_rows_impl(int x, std::span<const int> idx,
-                           std::shared_ptr<const void> keep) {
+int Tape::gather_rows(int x, std::span<const int> idx) {
     const Tensor& xv = value(x);
     const int e = static_cast<int>(idx.size()), cols = xv.cols();
     Tensor out = make(e, cols);
@@ -180,29 +179,16 @@ int Tape::gather_rows_impl(int x, std::span<const int> idx,
         std::memcpy(out.row(r), xv.row(idx[static_cast<std::size_t>(r)]),
                     static_cast<std::size_t>(cols) * sizeof(float));
     const int* ip = idx.data();
-    return push(std::move(out),
-                [x, ip, e, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    Tensor& xg = t.grad_buf(x);
-                    const std::size_t c = static_cast<std::size_t>(g.cols());
-                    for (int r = 0; r < e; ++r)
-                        k::vacc(c, g.row(r), xg.row(ip[r]));
-                });
+    return push(std::move(out), [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        Tensor& xg = t.grad_buf(x);
+        const std::size_t c = static_cast<std::size_t>(g.cols());
+        for (int r = 0; r < e; ++r) k::vacc(c, g.row(r), xg.row(ip[r]));
+    });
 }
 
-int Tape::gather_rows(int x, std::span<const int> idx) {
-    return gather_rows_impl(x, idx, nullptr);
-}
-
-int Tape::gather_rows(int x, std::vector<int> idx) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(idx));
-    return gather_rows_impl(x, std::span<const int>(*keep), keep);
-}
-
-int Tape::scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
-                                std::shared_ptr<const void> keep) {
+int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
     const Tensor& xv = value(x);
     if (static_cast<int>(idx.size()) != xv.rows())
         throw std::invalid_argument("Tape::scatter_add_rows: index count");
@@ -212,25 +198,13 @@ int Tape::scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
     for (int r = 0; r < e; ++r)
         k::vacc(cols, xv.row(r), out.row(idx[static_cast<std::size_t>(r)]));
     const int* ip = idx.data();
-    return push(std::move(out),
-                [x, ip, e, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    Tensor& xg = t.grad_buf(x);
-                    const std::size_t c = static_cast<std::size_t>(g.cols());
-                    for (int r = 0; r < e; ++r)
-                        k::vacc(c, g.row(ip[r]), xg.row(r));
-                });
-}
-
-int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
-    return scatter_add_rows_impl(x, idx, out_rows, nullptr);
-}
-
-int Tape::scatter_add_rows(int x, std::vector<int> idx, int out_rows) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(idx));
-    return scatter_add_rows_impl(x, std::span<const int>(*keep), out_rows, keep);
+    return push(std::move(out), [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        Tensor& xg = t.grad_buf(x);
+        const std::size_t c = static_cast<std::size_t>(g.cols());
+        for (int r = 0; r < e; ++r) k::vacc(c, g.row(ip[r]), xg.row(r));
+    });
 }
 
 int Tape::scale_rows_impl(int x, std::span<const float> weights,
@@ -310,8 +284,7 @@ int Tape::sum_rows(int x) {
     });
 }
 
-int Tape::segment_sum_impl(int x, std::span<const int> seg, int num_segs,
-                           std::shared_ptr<const void> keep) {
+int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
     const Tensor& xv = value(x);
     if (static_cast<int>(seg.size()) != xv.rows())
         throw std::invalid_argument("Tape::segment_sum: segment id count");
@@ -322,55 +295,12 @@ int Tape::segment_sum_impl(int x, std::span<const int> seg, int num_segs,
     Tensor out = make(num_segs, cols);
     k::segment_sum(rows, cols, xv.data(), seg.data(), num_segs, out.data());
     const int* sp = seg.data();
-    return push(std::move(out),
-                [x, sp, rows, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    k::segment_sum_backward(rows, g.cols(), g.data(), sp,
-                                            t.grad_buf(x).data());
-                });
-}
-
-int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
-    return segment_sum_impl(x, seg, num_segs, nullptr);
-}
-
-int Tape::segment_sum(int x, std::vector<int> seg, int num_segs) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(seg));
-    return segment_sum_impl(x, std::span<const int>(*keep), num_segs, keep);
-}
-
-int Tape::segment_mean_impl(int x, std::span<const int> seg, int num_segs,
-                            std::shared_ptr<const void> keep) {
-    const Tensor& xv = value(x);
-    if (static_cast<int>(seg.size()) != xv.rows())
-        throw std::invalid_argument("Tape::segment_mean: segment id count");
-    for (const int s : seg)
-        if (s < 0 || s >= num_segs)
-            throw std::invalid_argument("Tape::segment_mean: id out of range");
-    const int rows = xv.rows(), cols = xv.cols();
-    Tensor out = make(num_segs, cols);
-    k::segment_mean(rows, cols, xv.data(), seg.data(), num_segs, out.data());
-    const int* sp = seg.data();
-    return push(std::move(out),
-                [x, sp, rows, num_segs, keep = std::move(keep)](Tape& t,
-                                                                int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
-                    k::segment_mean_backward(rows, g.cols(), g.data(), sp,
-                                             num_segs, t.grad_buf(x).data());
-                });
-}
-
-int Tape::segment_mean(int x, std::span<const int> seg, int num_segs) {
-    return segment_mean_impl(x, seg, num_segs, nullptr);
-}
-
-int Tape::segment_mean(int x, std::vector<int> seg, int num_segs) {
-    auto keep = std::make_shared<const std::vector<int>>(std::move(seg));
-    return segment_mean_impl(x, std::span<const int>(*keep), num_segs, keep);
+    return push(std::move(out), [x, sp, rows](Tape& t, int self) {
+        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
+        if (g.empty()) return;
+        k::segment_sum_backward(rows, g.cols(), g.data(), sp,
+                                t.grad_buf(x).data());
+    });
 }
 
 int Tape::scale(int x, float s) {
@@ -385,35 +315,6 @@ int Tape::scale(int x, float s) {
         float* xd = t.grad_buf(x).data();
         const float* gd = g.data();
         for (std::size_t i = 0; i < g.size(); ++i) xd[i] += gd[i] * s;
-    });
-}
-
-int Tape::mape_loss(const std::vector<int>& preds,
-                    const std::vector<float>& targets) {
-    if (preds.size() != targets.size() || preds.empty())
-        throw std::invalid_argument("Tape::mape_loss: size mismatch");
-    double loss = 0.0;
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-        const float p = value(preds[i]).at(0, 0);
-        const float y = targets[i];
-        if (std::abs(y) < 1e-9f)
-            throw std::invalid_argument("Tape::mape_loss: zero target");
-        loss += std::abs(p - y) / std::abs(y);
-    }
-    Tensor out = make(1, 1);
-    out.at(0, 0) = static_cast<float>(loss / static_cast<double>(preds.size()));
-    auto ps = std::make_shared<std::vector<int>>(preds);
-    auto ts = std::make_shared<std::vector<float>>(targets);
-    return push(std::move(out), [ps, ts](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        const float gs = g.at(0, 0) / static_cast<float>(ps->size());
-        for (std::size_t i = 0; i < ps->size(); ++i) {
-            const float p = t.value((*ps)[i]).at(0, 0);
-            const float y = (*ts)[i];
-            const float sign = p >= y ? 1.0f : -1.0f;
-            t.grad_buf((*ps)[i]).at(0, 0) += gs * sign / std::abs(y);
-        }
     });
 }
 

@@ -76,15 +76,14 @@ public:
     int relu(int x);
     /// Inverted dropout; pass training=false for a no-op passthrough.
     int dropout(int x, float p, util::Rng& rng, bool training);
-    /// out[i] = x[idx[i]]  — node -> edge-endpoint gather. The span overloads
-    /// borrow the index/weight storage (lifetime as input_view); the vector
-    /// overloads take ownership.
+    /// out[i] = x[idx[i]]  — node -> edge-endpoint gather. Borrows the
+    /// index storage (lifetime as input_view).
     int gather_rows(int x, std::span<const int> idx);
-    int gather_rows(int x, std::vector<int> idx);
-    /// out[idx[i]] += x[i] — edge -> node aggregation.
+    /// out[idx[i]] += x[i] — edge -> node aggregation. Borrows idx.
     int scatter_add_rows(int x, std::span<const int> idx, int out_rows);
-    int scatter_add_rows(int x, std::vector<int> idx, int out_rows);
     /// Row-wise scaling by fixed per-row weights (e.g. GCN normalization).
+    /// The span overload borrows the weights; the vector overload takes
+    /// ownership.
     int scale_rows(int x, std::span<const float> weights);
     int scale_rows(int x, std::vector<float> weights);
     int concat_cols(int a, int b);
@@ -93,20 +92,14 @@ public:
     /// Segmented column-wise sum: (n,d) -> (num_segs,d), row r accumulated
     /// into output row seg[r] in ascending row order (a one-segment call is
     /// bit-identical to sum_rows). seg values must lie in [0, num_segs).
-    /// The span overload borrows the ids (lifetime as input_view); the
-    /// vector overload takes ownership.
+    /// Borrows the ids (lifetime as input_view).
     int segment_sum(int x, std::span<const int> seg, int num_segs);
-    int segment_sum(int x, std::vector<int> seg, int num_segs);
-    /// Segmented mean; empty segments produce exactly-zero output rows.
-    int segment_mean(int x, std::span<const int> seg, int num_segs);
-    int segment_mean(int x, std::vector<int> seg, int num_segs);
     int scale(int x, float s);
 
-    /// Mean absolute percentage error over scalar (1,1) prediction nodes.
-    /// Returns a scalar (1,1) loss node. Targets must be nonzero.
-    int mape_loss(const std::vector<int>& preds, const std::vector<float>& targets);
-    /// MAPE over the B rows of one (B,1) prediction node — the batched
-    /// readout form. Same arithmetic order as mape_loss over B scalar nodes.
+    /// Mean absolute percentage error over the B rows of one (B,1)
+    /// prediction node, accumulated in double in row order. Returns a
+    /// scalar (1,1) loss node. targets.size() must equal B and every target
+    /// must be nonzero; otherwise throws std::invalid_argument.
     int mape_loss_rows(int preds, const std::vector<float>& targets);
 
     void backward(int node);
@@ -135,14 +128,6 @@ private:
     Tensor make(int rows, int cols);
     Tensor& grad_buf(int node);
 
-    int gather_rows_impl(int x, std::span<const int> idx,
-                         std::shared_ptr<const void> keep);
-    int segment_sum_impl(int x, std::span<const int> seg, int num_segs,
-                         std::shared_ptr<const void> keep);
-    int segment_mean_impl(int x, std::span<const int> seg, int num_segs,
-                          std::shared_ptr<const void> keep);
-    int scatter_add_rows_impl(int x, std::span<const int> idx, int out_rows,
-                              std::shared_ptr<const void> keep);
     int scale_rows_impl(int x, std::span<const float> weights,
                         std::shared_ptr<const void> keep);
 

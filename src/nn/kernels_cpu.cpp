@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "nn/kernels_cpu_isa.hpp"
 #include "util/env.hpp"
@@ -113,31 +112,6 @@ void segment_sum_backward_ref_impl(int rows, int cols, const float* g,
         const float* gr = g + row(seg[r], cols);
         float* dr = dx + row(r, cols);
         for (int c = 0; c < cols; ++c) dr[c] += gr[c];
-    }
-}
-
-void segment_mean_ref_impl(int rows, int cols, const float* x, const int* seg,
-                           int num_segs, float* out) {
-    segment_sum_ref_impl(rows, cols, x, seg, num_segs, out);
-    std::vector<int> count(static_cast<std::size_t>(num_segs), 0);
-    for (int r = 0; r < rows; ++r) ++count[seg[r]];
-    for (int s = 0; s < num_segs; ++s) {
-        if (count[s] == 0) continue;  // empty segment rows stay exactly zero
-        const float inv = 1.0f / static_cast<float>(count[s]);
-        float* dst = out + row(s, cols);
-        for (int c = 0; c < cols; ++c) dst[c] *= inv;
-    }
-}
-
-void segment_mean_backward_ref_impl(int rows, int cols, const float* g,
-                                    const int* seg, int num_segs, float* dx) {
-    std::vector<int> count(static_cast<std::size_t>(num_segs), 0);
-    for (int r = 0; r < rows; ++r) ++count[seg[r]];
-    for (int r = 0; r < rows; ++r) {
-        const float inv = 1.0f / static_cast<float>(count[seg[r]]);
-        const float* gr = g + row(seg[r], cols);
-        float* dr = dx + row(r, cols);
-        for (int c = 0; c < cols; ++c) dr[c] += gr[c] * inv;
     }
 }
 
@@ -277,18 +251,6 @@ void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
     else segment_sum_backward_ref_impl(rows, cols, g, seg, dx);
 }
 
-void segment_mean(int rows, int cols, const float* x, const int* seg,
-                  int num_segs, float* out) {
-    if (blocked()) ops().segment_mean(rows, cols, x, seg, num_segs, out);
-    else segment_mean_ref_impl(rows, cols, x, seg, num_segs, out);
-}
-
-void segment_mean_backward(int rows, int cols, const float* g, const int* seg,
-                           int num_segs, float* dx) {
-    if (blocked()) ops().segment_mean_backward(rows, cols, g, seg, num_segs, dx);
-    else segment_mean_backward_ref_impl(rows, cols, g, seg, num_segs, dx);
-}
-
 // --- fixed-backend entry points ----------------------------------------------
 
 void matmul_ref(int m, int k, int n, const float* a, const float* b, float* c) {
@@ -330,15 +292,6 @@ void segment_sum_blocked(int rows, int cols, const float* x, const int* seg,
                          int num_segs, float* out) {
     ops().segment_sum(rows, cols, x, seg, num_segs, out);
 }
-void segment_mean_ref(int rows, int cols, const float* x, const int* seg,
-                      int num_segs, float* out) {
-    segment_mean_ref_impl(rows, cols, x, seg, num_segs, out);
-}
-void segment_mean_blocked(int rows, int cols, const float* x, const int* seg,
-                          int num_segs, float* out) {
-    ops().segment_mean(rows, cols, x, seg, num_segs, out);
-}
-
 // --- fused elementwise epilogues ---------------------------------------------
 // Backend-independent in results (pure adds/compares, identical in every
 // translation unit); routed through the ISA table purely for vector width.

@@ -92,35 +92,23 @@ void gather_matmul_blocked(int e, int k, int n, const float* x, const int* idx,
                            const float* w, float* out);
 
 // --- segmented reductions (batched multi-graph readout) ----------------------
-// out(num_segs, cols) with out[s] = Σ / mean of the x rows whose seg id is s.
+// out(num_segs, cols) with out[s] = Σ of the x rows whose seg id is s.
 // seg must hold values in [0, num_segs); rows are reduced in ascending row
 // order, so a single-segment segment_sum is bit-identical to summing rows
-// with vacc. The forward kernels contain no multiply-adds (the mean's
-// 1/count scale is a lone multiply), so like vadd/vacc they are backend-
-// and ISA-invariant in results; segment_mean_backward's g*inv accumulate
-// may FMA-contract on AVX2 and only promises the 1e-5 envelope.
+// with vacc. Both kernels are pure adds, so like vadd/vacc they are
+// backend- and ISA-invariant in results.
 /// out[s][c] = Σ_{r : seg[r]==s} x[r][c] (overwrite; ascending r).
 void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out);
 /// dx[r] += g[seg[r]]  (backward of segment_sum).
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
-/// out[s] = segment sum / count(s); empty segments stay exactly zero.
-void segment_mean(int rows, int cols, const float* x, const int* seg,
-                  int num_segs, float* out);
-/// dx[r] += g[seg[r]] / count(seg[r])  (backward of segment_mean).
-void segment_mean_backward(int rows, int cols, const float* g, const int* seg,
-                           int num_segs, float* dx);
 
 // --- fixed-backend segmented entry points (parity tests) ---------------------
 void segment_sum_ref(int rows, int cols, const float* x, const int* seg,
                      int num_segs, float* out);
 void segment_sum_blocked(int rows, int cols, const float* x, const int* seg,
                          int num_segs, float* out);
-void segment_mean_ref(int rows, int cols, const float* x, const int* seg,
-                      int num_segs, float* out);
-void segment_mean_blocked(int rows, int cols, const float* x, const int* seg,
-                          int num_segs, float* out);
 
 // --- fused elementwise epilogues (backend-independent) ------------------------
 /// y(rows,cols) = x + bias with bias(1,cols) broadcast over rows.

@@ -16,7 +16,6 @@ public:
     void step();
 
     double learning_rate() const { return lr_; }
-    void set_learning_rate(double lr) { lr_ = lr; }
 
 private:
     std::vector<Param*> params_;

@@ -44,10 +44,6 @@ public:
     }
 
     Kind kind() const { return kind_; }
-    bool is_object() const { return kind_ == Kind::Object; }
-    bool is_array() const { return kind_ == Kind::Array; }
-    bool is_number() const { return kind_ == Kind::Number; }
-    bool is_string() const { return kind_ == Kind::String; }
 
     /// Typed accessors; throw std::runtime_error on kind mismatch so schema
     /// drift surfaces as a parse error, not a silent zero.

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace powergear::obs {
 
@@ -50,9 +49,6 @@ constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
 
 /// Stable snake_case phase key used in the JSON report ("hls_schedule", ...).
 const char* phase_name(Phase p);
-
-/// Parse a phase key back; returns false for unknown names.
-bool phase_from_name(const std::string& name, Phase& out);
 
 #ifndef POWERGEAR_NO_OBS
 

@@ -57,7 +57,8 @@ public:
     DirStats produced(int op_id) const;
     DirStats consumed(int op_id, int operand_index) const;
 
-    /// Stats over an arbitrary stream (exposed for tests and the board model).
+    /// Stats over an arbitrary stream: the direct reference the tests check
+    /// the memoised per-stream walks against.
     static DirStats stats_of(const std::vector<std::uint32_t>& stream,
                              std::int64_t latency);
 

@@ -21,7 +21,6 @@ public:
     static std::string num(double v, int precision = 2);
 
     std::size_t num_rows() const { return rows_.size(); }
-    std::size_t num_cols() const { return header_.size(); }
     const std::vector<std::string>& header() const { return header_; }
     const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
 

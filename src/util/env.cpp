@@ -1,5 +1,7 @@
 #include "util/env.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 namespace powergear::util {
@@ -8,8 +10,11 @@ int env_int(const char* name, int fallback) {
     const char* v = std::getenv(name);
     if (!v || !*v) return fallback;
     char* end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (end == v) return fallback;
+    errno = 0;
+    const long parsed = std::strtol(v, &end, 10);
+    // v is non-empty, so a failed or partial parse leaves *end != '\0'.
+    if (*end != '\0' || errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX)
+        return fallback;
     return static_cast<int>(parsed);
 }
 
@@ -17,8 +22,8 @@ double env_double(const char* name, double fallback) {
     const char* v = std::getenv(name);
     if (!v || !*v) return fallback;
     char* end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v) return fallback;
+    const double parsed = std::strtod(v, &end);
+    if (*end != '\0') return fallback;
     return parsed;
 }
 

@@ -9,10 +9,12 @@
 namespace powergear::util {
 
 /// Read an integer from the environment, falling back to `fallback` when the
-/// variable is unset or unparsable.
+/// variable is unset, not wholly a base-10 integer ("12abc"), or outside
+/// int range.
 int env_int(const char* name, int fallback);
 
-/// Read a double from the environment with fallback.
+/// Read a double from the environment, falling back to `fallback` when the
+/// variable is unset or not wholly a number ("2.5x").
 double env_double(const char* name, double fallback);
 
 /// Read a string from the environment with fallback.
@@ -23,7 +25,8 @@ struct BenchScale {
     int samples_per_dataset; ///< POWERGEAR_SAMPLES  (paper: ~500)
     int hidden_dim;          ///< POWERGEAR_HIDDEN   (paper: 128)
     int epochs_total;        ///< POWERGEAR_EPOCHS   (paper: 1200 total power)
-    int epochs_dynamic;      ///< 2x epochs_total    (paper: 2400)
+    int epochs_dynamic;      ///< POWERGEAR_EPOCHS_DYN, default 2x epochs_total
+                             ///< (paper: 2400)
     int folds;               ///< POWERGEAR_FOLDS    (paper: 10)
     int seeds;               ///< POWERGEAR_SEEDS    (paper: 3)
     int layers;              ///< POWERGEAR_LAYERS   (paper: 3)

@@ -14,7 +14,6 @@
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
-#include "hls/flow.hpp"
 #include "io/cache.hpp"
 #include "io/manifest.hpp"
 #include "io/serial.hpp"
@@ -159,77 +158,57 @@ TEST(Artifact, HasherSeparatesTypesAndBoundaries) {
 
 // --- per-stage round trips ---------------------------------------------------
 
-TEST(ArtifactStages, HlsSaveLoadIsBitExact) {
-    TempDir tmp("hls");
-    const ir::Function fn = kernels::build_polybench("atax", 6);
-    hls::Directives dirs;
-    dirs.loops[1] = {4, true};
-    const hls::Design d = hls::synthesize(fn, dirs);
-
-    io::save_hls_file(tmp.file("a.art"), d.sched, d.report);
-    hls::Schedule sched;
-    hls::HlsReport report;
-    io::load_hls_file(tmp.file("a.art"), sched, report);
-
-    EXPECT_EQ(sched.total_latency, d.sched.total_latency);
-    EXPECT_EQ(sched.fsm_states, d.sched.fsm_states);
-    EXPECT_EQ(sched.op_cycle, d.sched.op_cycle);
-    ASSERT_EQ(sched.loops.size(), d.sched.loops.size());
-    for (std::size_t i = 0; i < sched.loops.size(); ++i) {
-        EXPECT_EQ(sched.loops[i].loop, d.sched.loops[i].loop);
-        EXPECT_EQ(sched.loops[i].ii, d.sched.loops[i].ii);
-        EXPECT_EQ(sched.loops[i].total_latency, d.sched.loops[i].total_latency);
-    }
-    EXPECT_EQ(report.lut, d.report.lut);
-    EXPECT_EQ(report.ff, d.report.ff);
-    EXPECT_EQ(report.dsp, d.report.dsp);
-    EXPECT_EQ(report.bram, d.report.bram);
-    EXPECT_EQ(report.latency_cycles, d.report.latency_cycles);
-    EXPECT_EQ(report.clock_ns, d.report.clock_ns); // f64 bit pattern
-}
-
 TEST(ArtifactStages, TraceSaveLoadIsBitExact) {
     TempDir tmp("trace");
     const ir::Function fn = kernels::build_polybench("bicg", 6);
     const sim::Trace trace = sim::simulate(fn, sim::StimulusProfile{});
 
-    io::save_trace_file(tmp.file("t.art"), trace);
-    const sim::Trace back = io::load_trace_file(tmp.file("t.art"));
+    io::write_file_atomic(
+        tmp.file("t.art"),
+        io::frame(io::kStageSim, io::kSimPayloadVersion, io::encode_trace(trace)));
+    const auto file = io::read_file(tmp.file("t.art"));
+    ASSERT_TRUE(file.has_value());
+    const sim::Trace back = io::decode_trace(
+        io::unframe(*file, io::kStageSim, io::kSimPayloadVersion));
     EXPECT_EQ(back.executed_ops, trace.executed_ops);
     EXPECT_EQ(back.values, trace.values);
 }
 
-TEST(ArtifactStages, GraphSaveLoadIsBitExact) {
-    TempDir tmp("graph");
-    const dataset::Dataset ds = dataset::generate_dataset("atax", quick_opts(1));
-    const graphgen::Graph& g = ds.samples.front().graph;
-
-    io::save_graph_file(tmp.file("g.art"), g);
-    EXPECT_EQ(io::load_graph_file(tmp.file("g.art")), g);
-}
-
 TEST(ArtifactStages, GraphDecodeRejectsNonFiniteFeatures) {
     const dataset::Dataset ds = dataset::generate_dataset("atax", quick_opts(1));
-    graphgen::Graph g = ds.samples.front().graph;
-    ASSERT_FALSE(g.x.empty());
-    g.x.front() = std::nanf(""); // a checksum-valid frame around NaN data
-    const std::vector<std::uint8_t> file =
-        io::frame("graph", 1, io::encode_graph(g));
+    dataset::Sample s = ds.samples.front();
+    ASSERT_FALSE(s.graph.x.empty());
+    s.graph.x.front() = std::nanf(""); // a checksum-valid frame around NaN data
+    const std::vector<std::uint8_t> file = io::frame(
+        io::kStageSample, io::kSamplePayloadVersion, io::encode_sample(s));
     // The graph validator (src/analysis-backed Graph::valid), not the
     // checksum, must reject it: the frame itself is internally consistent.
     expect_throw_containing(
-        [&] { io::decode_graph(io::unframe(file, "graph", 1)); },
+        [&] {
+            io::decode_sample(
+                io::unframe(file, io::kStageSample, io::kSamplePayloadVersion));
+        },
         "invalid graph payload");
 }
 
 TEST(ArtifactStages, GraphDecodeRejectsImplausibleCounts) {
     const dataset::Dataset ds = dataset::generate_dataset("atax", quick_opts(1));
-    std::vector<std::uint8_t> payload =
-        io::encode_graph(ds.samples.front().graph);
-    // Corrupt the node-feature count (u64 at offset 8) to a huge value; the
-    // decoder must fail on the count, not attempt a multi-GB allocation.
-    payload[8 + 7] = 0x7f;
-    expect_throw_containing([&] { io::decode_graph(payload); }, "count");
+    const dataset::Sample& s = ds.samples.front();
+    std::vector<std::uint8_t> payload = io::encode_sample(s);
+    // The graph follows the kernel name, design index and directives.
+    const std::size_t graph_at = 8 + s.kernel.size() + 8 + 8 +
+                                 9 * s.directives.loops.size() + 8 +
+                                 8 * s.directives.array_partition.size();
+    ASSERT_LT(graph_at + 16, payload.size());
+    io::Reader head(payload.data() + graph_at, payload.size() - graph_at);
+    ASSERT_EQ(head.i32(), s.graph.num_nodes);
+    ASSERT_EQ(head.i32(), s.graph.node_dim);
+    ASSERT_EQ(head.u64(), s.graph.x.size());
+    // Corrupt the node-feature count (the u64 after num_nodes and node_dim)
+    // to a huge value; the decoder must fail on the count, not attempt a
+    // multi-GB allocation.
+    payload[graph_at + 8 + 7] = 0x7f;
+    expect_throw_containing([&] { io::decode_sample(payload); }, "count");
 }
 
 TEST(ArtifactStages, SampleSaveLoadIsBitExact) {
@@ -237,8 +216,13 @@ TEST(ArtifactStages, SampleSaveLoadIsBitExact) {
     const dataset::Dataset ds = dataset::generate_dataset("gemm", quick_opts(2));
     for (const dataset::Sample& s : ds.samples) {
         const std::string path = tmp.file("s.art");
-        io::save_sample_file(path, s);
-        const dataset::Sample back = io::load_sample_file(path);
+        io::write_file_atomic(path, io::frame(io::kStageSample,
+                                              io::kSamplePayloadVersion,
+                                              io::encode_sample(s)));
+        const auto file = io::read_file(path);
+        ASSERT_TRUE(file.has_value());
+        const dataset::Sample back = io::decode_sample(
+            io::unframe(*file, io::kStageSample, io::kSamplePayloadVersion));
         expect_samples_bitexact(s, back);
     }
 }
@@ -461,7 +445,9 @@ TEST(GoldenArtifacts, RegenerateWhenRequested) {
         GTEST_SKIP() << "set POWERGEAR_REGEN_GOLDEN=1 to rewrite tests/golden";
     fs::create_directories(POWERGEAR_GOLDEN_DIR);
     const dataset::Dataset ds = dataset::generate_dataset("gemm", quick_opts(4));
-    io::save_sample_file(golden_path("sample-v1.art"), ds.samples[0]);
+    io::write_file_atomic(golden_path("sample-v1.art"),
+                          io::frame(io::kStageSample, io::kSamplePayloadVersion,
+                                    io::encode_sample(ds.samples[0])));
     io::save_ensemble_file(golden_path("ensemble-v1.art"),
                            train_golden_ensemble(ds));
 }

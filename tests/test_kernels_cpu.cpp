@@ -304,20 +304,12 @@ TEST(KernelsCpu, SegmentSumMatchesHandComputedOracle) {
                                   10, 20, 30};
     const std::vector<int> seg = {0, 1, 0, 1, 0};
     std::vector<float> sum(9, 99.0f);   // poisoned: must overwrite
-    std::vector<float> mean(9, -99.0f);
     segment_sum_ref(5, 3, x.data(), seg.data(), 3, sum.data());
-    segment_mean_ref(5, 3, x.data(), seg.data(), 3, mean.data());
     const std::vector<float> want_sum = {18, 30, 42, 3, 3, 3, 0, 0, 0};
     EXPECT_EQ(sum, want_sum);
-    for (int c = 0; c < 3; ++c) {
-        EXPECT_FLOAT_EQ(mean[static_cast<std::size_t>(c)], want_sum[c] / 3.0f);
-        EXPECT_FLOAT_EQ(mean[static_cast<std::size_t>(3 + c)],
-                        want_sum[3 + c] / 2.0f);
-        EXPECT_EQ(mean[static_cast<std::size_t>(6 + c)], 0.0f); // empty: exact
-    }
 }
 
-// The forwards contain no multiply-adds, so ref and blocked (and both ISA
+// segment_sum is pure adds, so ref and blocked (and both ISA
 // legs of blocked) must agree bit-for-bit — not just within 1e-5. Shapes
 // include rows=0, cols=0, single segment, and all-empty segments.
 TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
@@ -334,12 +326,6 @@ TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
         segment_sum_blocked(rows, cols, x.data(), seg.data(), num_segs,
                             blk.data());
         EXPECT_EQ(ref, blk) << "segment_sum rows=" << rows << " cols=" << cols
-                            << " segs=" << num_segs;
-        segment_mean_ref(rows, cols, x.data(), seg.data(), num_segs,
-                         ref.data());
-        segment_mean_blocked(rows, cols, x.data(), seg.data(), num_segs,
-                             blk.data());
-        EXPECT_EQ(ref, blk) << "segment_mean rows=" << rows << " cols=" << cols
                             << " segs=" << num_segs;
     }
 }
@@ -359,24 +345,18 @@ TEST(KernelsCpu, SegmentSumSingleSegmentMatchesVaccOverRows) {
 }
 
 TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
-    // segment_sum_backward broadcasts g[seg[r]] into row r; the mean variant
-    // additionally scales by 1/count. Both accumulate (+=), preserving prior
-    // gradient contents.
+    // segment_sum_backward broadcasts g[seg[r]] into row r. It accumulates
+    // (+=), preserving prior gradient contents.
     BackendGuard guard;
     Rng rng(73);
     const int rows = 9, cols = 5, num_segs = 4;
     const auto seg = random_segments(rng, rows, num_segs);
     const auto g =
         random_values(rng, static_cast<std::size_t>(num_segs) * cols);
-    std::vector<int> count(static_cast<std::size_t>(num_segs), 0);
-    for (int s : seg) ++count[static_cast<std::size_t>(s)];
     for (Backend be : {Backend::Ref, Backend::Blocked}) {
         set_backend(be);
         std::vector<float> dsum(static_cast<std::size_t>(rows) * cols, 0.5f);
-        std::vector<float> dmean(dsum);
         segment_sum_backward(rows, cols, g.data(), seg.data(), dsum.data());
-        segment_mean_backward(rows, cols, g.data(), seg.data(), num_segs,
-                              dmean.data());
         for (int r = 0; r < rows; ++r)
             for (int c = 0; c < cols; ++c) {
                 const std::size_t i = static_cast<std::size_t>(r) * cols + c;
@@ -386,14 +366,6 @@ TEST(KernelsCpu, SegmentBackwardsMatchFiniteStructure) {
                     static_cast<std::size_t>(c);
                 EXPECT_FLOAT_EQ(dsum[i], 0.5f + g[gi])
                     << backend_name(be) << " sum r=" << r << " c=" << c;
-                const float inv =
-                    1.0f /
-                    static_cast<float>(count[static_cast<std::size_t>(
-                        seg[static_cast<std::size_t>(r)])]);
-                const float want = 0.5f + g[gi] * inv;
-                const float tol = 1e-5f * std::max(1.0f, std::abs(want));
-                EXPECT_NEAR(dmean[i], want, tol)
-                    << backend_name(be) << " mean r=" << r << " c=" << c;
             }
     }
 }
@@ -409,13 +381,9 @@ TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
             const auto x =
                 random_values(rng, static_cast<std::size_t>(rows) * cols);
             const auto seg = random_segments(rng, rows, num_segs);
-            std::vector<float> out(2 * static_cast<std::size_t>(num_segs) *
-                                   cols);
+            std::vector<float> out(static_cast<std::size_t>(num_segs) * cols);
             segment_sum(rows, cols, x.data(), seg.data(), num_segs,
                         out.data());
-            segment_mean(rows, cols, x.data(), seg.data(), num_segs,
-                         out.data() +
-                             static_cast<std::size_t>(num_segs) * cols);
             outs[task] = std::move(out);
         });
         return outs;

@@ -178,14 +178,12 @@ TEST(Autograd, ScaleRowsConcatGradient) {
 }
 
 TEST(Autograd, MapeLossGradient) {
-    Rng rng(19);
-    Param w(Tensor::xavier(1, 1, rng));
-    w.w.at(0, 0) = 2.0f; // away from the |.| kink
-    const std::vector<float> targets = {3.0f};
+    // B = 4 rows, each prediction away from the |.| kink at its target;
+    // one target is negative (the loss divides by |y|).
+    Param w(Tensor::from(4, 1, {2.0f, 1.0f, 6.5f, -0.5f}));
+    const std::vector<float> targets = {3.0f, -2.0f, 5.0f, 1.5f};
 
-    auto build = [&](Tape& t) {
-        return t.mape_loss({t.param(&w)}, targets);
-    };
+    auto build = [&](Tape& t) { return t.mape_loss_rows(t.param(&w), targets); };
     auto forward = [&]() {
         Tape t;
         return static_cast<double>(t.value(build(t)).at(0, 0));
@@ -199,9 +197,16 @@ TEST(Autograd, MapeLossGradient) {
 
 TEST(Autograd, MapeLossRejectsZeroTargets) {
     Tape t;
-    Tensor one(1, 1, 1.0f);
-    const int p = t.input(one);
-    EXPECT_THROW(t.mape_loss({p}, {0.0f}), std::invalid_argument);
+    const int p = t.input(Tensor(2, 1, 1.0f));
+    EXPECT_THROW(t.mape_loss_rows(p, {1.0f, 0.0f}), std::invalid_argument);
+}
+
+TEST(Autograd, MapeLossRejectsShapeMismatch) {
+    Tape t;
+    const int rows3 = t.input(Tensor(3, 1, 1.0f));
+    const int wide = t.input(Tensor(2, 2, 1.0f));
+    EXPECT_THROW(t.mape_loss_rows(rows3, {1.0f, 2.0f}), std::invalid_argument);
+    EXPECT_THROW(t.mape_loss_rows(wide, {1.0f, 2.0f}), std::invalid_argument);
 }
 
 TEST(Autograd, DropoutEvalIsIdentity) {
@@ -240,14 +245,10 @@ TEST(Optimizer, AdamSolvesLinearRegression) {
     double first_loss = 0.0, last_loss = 0.0;
     for (int step = 0; step < 400; ++step) {
         Tape t;
-        std::vector<int> preds;
-        for (int r = 0; r < x.rows(); ++r) {
-            Tensor row(1, 3);
-            for (int c = 0; c < 3; ++c) row.at(0, c) = x.at(r, c);
-            preds.push_back(
-                t.add(t.matmul(t.input(row), t.param(&w)), t.param(&b)));
-        }
-        const int loss = t.mape_loss(preds, targets);
+        // One (64,1) prediction node: the batched readout form.
+        const int preds =
+            t.add_bias(t.matmul(t.input_view(x), t.param(&w)), t.param(&b));
+        const int loss = t.mape_loss_rows(preds, targets);
         if (step == 0) first_loss = t.value(loss).at(0, 0);
         last_loss = t.value(loss).at(0, 0);
         adam.zero_grad();

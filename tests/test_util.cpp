@@ -148,6 +148,18 @@ TEST(Env, ParsesAndFallsBack) {
     EXPECT_EQ(env_int("POWERGEAR_TEST_UNSET_XYZ", 7), 7);
     ::setenv("POWERGEAR_TEST_BAD", "zz", 1);
     EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), 7);
+    ::setenv("POWERGEAR_TEST_BAD", "12abc", 1); // partial parse
+    EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), 7);
+    ::setenv("POWERGEAR_TEST_BAD", "4295967296", 1); // would wrap to 1000000
+    EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), 7);
+    ::setenv("POWERGEAR_TEST_BAD", "-2147483649", 1); // below INT_MIN
+    EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), 7);
+    ::setenv("POWERGEAR_TEST_BAD", "99999999999999999999999", 1); // > LONG_MAX
+    EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), 7);
+    ::setenv("POWERGEAR_TEST_BAD", "-2147483648", 1); // INT_MIN itself is fine
+    EXPECT_EQ(env_int("POWERGEAR_TEST_BAD", 7), -2147483647 - 1);
+    ::setenv("POWERGEAR_TEST_BAD", "2.5x", 1);
+    EXPECT_DOUBLE_EQ(env_double("POWERGEAR_TEST_BAD", 1.0), 1.0);
     ::setenv("POWERGEAR_TEST_DBL", "2.5", 1);
     EXPECT_DOUBLE_EQ(env_double("POWERGEAR_TEST_DBL", 1.0), 2.5);
     EXPECT_EQ(env_string("POWERGEAR_TEST_UNSET_XYZ", "dflt"), "dflt");

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
+#include "obs/obs.hpp"
 
 namespace powergear::gnn {
 
@@ -185,7 +186,12 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
         const int loss =
             t.mape_loss_rows(forward_batch(t, batch, true), ys);
         adam_->zero_grad();
-        t.backward(loss);
+        {
+            const obs::Scope obs_scope(obs::Phase::Backward);
+            const std::size_t skipped = t.backward(loss);
+            obs::add(obs::Phase::Backward, "nodes", t.num_nodes());
+            obs::add(obs::Phase::Backward, "nodes_skipped", skipped);
+        }
         // Catch exploding/NaN gradients before the optimizer folds them into
         // the weights, where they would quietly poison every later estimate.
         if (analysis::checks_enabled())

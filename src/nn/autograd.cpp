@@ -11,10 +11,27 @@ namespace powergear::nn {
 
 namespace k = kernels;
 
-int Tape::push(Tensor val, std::function<void(Tape&, int)> backprop) {
+// Backward closures of two-parent ops write only the parents that require a
+// gradient (grad_sink). Single-parent closures use grad_buf directly: such a
+// node requires a gradient only when its parent does, and push() drops the
+// closure otherwise.
+
+int Tape::push(Tensor val, std::initializer_list<int> parents,
+               std::function<void(Tape&, int)> backprop) {
     Node n;
     n.val = std::move(val);
-    n.backprop = std::move(backprop);
+    for (const int p : parents)
+        n.requires_grad |= nodes_[static_cast<std::size_t>(p)].requires_grad;
+    if (n.requires_grad) n.backprop = std::move(backprop);
+    nodes_.push_back(std::move(n));
+    return static_cast<int>(nodes_.size()) - 1;
+}
+
+int Tape::push_leaf(Tensor val, Param* external) {
+    Node n;
+    n.val = std::move(val);
+    n.external = external;
+    n.requires_grad = external != nullptr;
     nodes_.push_back(std::move(n));
     return static_cast<int>(nodes_.size()) - 1;
 }
@@ -31,25 +48,35 @@ Tensor& Tape::grad_buf(int node) {
     return n.grad;
 }
 
+Tensor* Tape::grad_sink(int node) {
+    return nodes_[static_cast<std::size_t>(node)].requires_grad
+               ? &grad_buf(node)
+               : nullptr;
+}
+
+float* Tape::grad_or_scratch(int node) {
+    if (Tensor* g = grad_sink(node)) return g->data();
+    return arena_.alloc(nodes_[static_cast<std::size_t>(node)].val.size());
+}
+
 void Tape::reset() {
     nodes_.clear();
     arena_.reset();
 }
 
-int Tape::input(Tensor v) { return push(std::move(v)); }
+int Tape::input(Tensor v) { return push_leaf(std::move(v), nullptr); }
 
 int Tape::input_view(const Tensor& v) {
     // The node never writes through the view (only grad buffers are written),
     // so dropping const on the caller's storage is safe.
-    return push(
-        Tensor::borrowed(v.rows(), v.cols(), const_cast<float*>(v.data())));
+    return push_leaf(
+        Tensor::borrowed(v.rows(), v.cols(), const_cast<float*>(v.data())),
+        nullptr);
 }
 
 int Tape::param(Param* p) {
-    const int id =
-        push(Tensor::borrowed(p->w.rows(), p->w.cols(), p->w.data()));
-    nodes_[static_cast<std::size_t>(id)].external = p;
-    return id;
+    return push_leaf(Tensor::borrowed(p->w.rows(), p->w.cols(), p->w.data()),
+                     p);
 }
 
 int Tape::matmul(int a, int b) {
@@ -59,15 +86,18 @@ int Tape::matmul(int a, int b) {
     const int m = av.rows(), kk = av.cols(), n = bv.cols();
     Tensor out = make(m, n);
     k::matmul(m, kk, n, av.data(), bv.data(), out.data());
-    return push(std::move(out), [a, b, m, kk, n](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        // ga(m,kk) += g(m,n) · b(kk,n)ᵀ ; gb(kk,n) += a(m,kk)ᵀ · g(m,n)
-        k::matmul_nt_acc(m, n, kk, g.data(), t.value(b).data(),
-                         t.grad_buf(a).data());
-        k::matmul_tn_acc(m, kk, n, t.value(a).data(), g.data(),
-                         t.grad_buf(b).data());
-    });
+    return push(std::move(out), {a, b},
+                [a, b, m, kk, n](Tape& t, int self) {
+                    // ga(m,kk) += g(m,n) · b(kk,n)ᵀ
+                    // gb(kk,n) += a(m,kk)ᵀ · g(m,n)
+                    const Tensor& g = t.grad(self);
+                    if (Tensor* ga = t.grad_sink(a))
+                        k::matmul_nt_acc(m, n, kk, g.data(),
+                                         t.value(b).data(), ga->data());
+                    if (Tensor* gb = t.grad_sink(b))
+                        k::matmul_tn_acc(m, kk, n, t.value(a).data(),
+                                         g.data(), gb->data());
+                });
 }
 
 int Tape::gather_matmul(int x, std::span<const int> idx, int w) {
@@ -78,14 +108,17 @@ int Tape::gather_matmul(int x, std::span<const int> idx, int w) {
     Tensor out = make(e, n);
     k::gather_matmul(e, kk, n, xv.data(), idx.data(), wv.data(), out.data());
     const int* ip = idx.data();
-    return push(std::move(out), [x, w, ip, e, kk, n](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        k::gather_matmul_tn_acc(e, kk, n, t.value(x).data(), ip, g.data(),
-                                t.grad_buf(w).data());
-        k::scatter_matmul_nt_acc(e, kk, n, g.data(), t.value(w).data(), ip,
-                                 t.grad_buf(x).data());
-    });
+    return push(std::move(out), {x, w},
+                [x, w, ip, e, kk, n](Tape& t, int self) {
+                    const Tensor& g = t.grad(self);
+                    if (Tensor* gw = t.grad_sink(w))
+                        k::gather_matmul_tn_acc(e, kk, n, t.value(x).data(),
+                                                ip, g.data(), gw->data());
+                    if (Tensor* gx = t.grad_sink(x))
+                        k::scatter_matmul_nt_acc(e, kk, n, g.data(),
+                                                 t.value(w).data(), ip,
+                                                 gx->data());
+                });
 }
 
 int Tape::add(int a, int b) {
@@ -95,11 +128,12 @@ int Tape::add(int a, int b) {
         throw std::invalid_argument("Tape::add: shape mismatch");
     Tensor out = make(av.rows(), av.cols());
     k::vadd(av.size(), av.data(), bv.data(), out.data());
-    return push(std::move(out), [a, b](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        k::vacc(g.size(), g.data(), t.grad_buf(a).data());
-        k::vacc(g.size(), g.data(), t.grad_buf(b).data());
+    return push(std::move(out), {a, b}, [a, b](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
+        if (Tensor* ga = t.grad_sink(a))
+            k::vacc(g.size(), g.data(), ga->data());
+        if (Tensor* gb = t.grad_sink(b))
+            k::vacc(g.size(), g.data(), gb->data());
     });
 }
 
@@ -111,12 +145,10 @@ int Tape::add_bias(int x, int bias) {
     const int rows = xv.rows(), cols = xv.cols();
     Tensor out = make(rows, cols);
     k::add_bias(rows, cols, xv.data(), bv.data(), out.data());
-    return push(std::move(out), [x, bias](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x, bias}, [x, bias](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         k::add_bias_backward(g.rows(), g.cols(), g.data(),
-                             t.grad_buf(x).data(),
-                             t.grad_buf(bias).data());
+                             t.grad_or_scratch(x), t.grad_or_scratch(bias));
     });
 }
 
@@ -127,13 +159,12 @@ int Tape::add_bias_relu(int x, int bias) {
         throw std::invalid_argument("Tape::add_bias: bias shape");
     Tensor out = make(xv.rows(), xv.cols());
     k::add_bias_relu(xv.rows(), xv.cols(), xv.data(), bv.data(), out.data());
-    return push(std::move(out), [x, bias](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x, bias}, [x, bias](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         const Tensor& y = t.value(self);
         k::add_bias_relu_backward(g.rows(), g.cols(), y.data(), g.data(),
-                                  t.grad_buf(x).data(),
-                                  t.grad_buf(bias).data());
+                                  t.grad_or_scratch(x),
+                                  t.grad_or_scratch(bias));
     });
 }
 
@@ -141,9 +172,8 @@ int Tape::relu(int x) {
     const Tensor& xv = value(x);
     Tensor out = make(xv.rows(), xv.cols());
     k::relu_forward(xv.size(), xv.data(), out.data());
-    return push(std::move(out), [x](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         const Tensor& y = t.value(self);
         k::relu_backward(g.size(), y.data(), g.data(), t.grad_buf(x).data());
     });
@@ -162,9 +192,8 @@ int Tape::dropout(int x, float p, util::Rng& rng, bool training) {
         mask[i] = rng.next_double() < keep ? 1.0f / keep : 0.0f;
         outd[i] = xd[i] * mask[i];
     }
-    return push(std::move(out), [x, mask](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x, mask](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         float* xg = t.grad_buf(x).data();
         const float* gd = g.data();
         for (std::size_t i = 0; i < g.size(); ++i) xg[i] += gd[i] * mask[i];
@@ -179,9 +208,8 @@ int Tape::gather_rows(int x, std::span<const int> idx) {
         std::memcpy(out.row(r), xv.row(idx[static_cast<std::size_t>(r)]),
                     static_cast<std::size_t>(cols) * sizeof(float));
     const int* ip = idx.data();
-    return push(std::move(out), [x, ip, e](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         Tensor& xg = t.grad_buf(x);
         const std::size_t c = static_cast<std::size_t>(g.cols());
         for (int r = 0; r < e; ++r) k::vacc(c, g.row(r), xg.row(ip[r]));
@@ -198,9 +226,8 @@ int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
     for (int r = 0; r < e; ++r)
         k::vacc(cols, xv.row(r), out.row(idx[static_cast<std::size_t>(r)]));
     const int* ip = idx.data();
-    return push(std::move(out), [x, ip, e](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x, ip, e](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         Tensor& xg = t.grad_buf(x);
         const std::size_t c = static_cast<std::size_t>(g.cols());
         for (int r = 0; r < e; ++r) k::vacc(c, g.row(ip[r]), xg.row(r));
@@ -221,11 +248,9 @@ int Tape::scale_rows_impl(int x, std::span<const float> weights,
         for (int c = 0; c < cols; ++c) outr[c] = xr[c] * wr;
     }
     const float* wp = weights.data();
-    return push(std::move(out),
+    return push(std::move(out), {x},
                 [x, wp, keep = std::move(keep)](Tape& t, int self) {
-                    const Tensor& g =
-                        t.nodes_[static_cast<std::size_t>(self)].grad;
-                    if (g.empty()) return;
+                    const Tensor& g = t.grad(self);
                     Tensor& xg = t.grad_buf(x);
                     for (int r = 0; r < g.rows(); ++r) {
                         const float wr = wp[r];
@@ -258,14 +283,16 @@ int Tape::concat_cols(int a, int b) {
         std::memcpy(out.row(r) + ac, bv.row(r),
                     static_cast<std::size_t>(bc) * sizeof(float));
     }
-    return push(std::move(out), [a, b, ac, bc](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
-        Tensor& ag = t.grad_buf(a);
-        Tensor& bg = t.grad_buf(b);
+    return push(std::move(out), {a, b}, [a, b, ac, bc](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
+        Tensor* ag = t.grad_sink(a);
+        Tensor* bg = t.grad_sink(b);
         for (int r = 0; r < g.rows(); ++r) {
-            k::vacc(static_cast<std::size_t>(ac), g.row(r), ag.row(r));
-            k::vacc(static_cast<std::size_t>(bc), g.row(r) + ac, bg.row(r));
+            if (ag)
+                k::vacc(static_cast<std::size_t>(ac), g.row(r), ag->row(r));
+            if (bg)
+                k::vacc(static_cast<std::size_t>(bc), g.row(r) + ac,
+                        bg->row(r));
         }
     });
 }
@@ -275,9 +302,8 @@ int Tape::sum_rows(int x) {
     const std::size_t cols = static_cast<std::size_t>(xv.cols());
     Tensor out = make(1, xv.cols());
     for (int r = 0; r < xv.rows(); ++r) k::vacc(cols, xv.row(r), out.row(0));
-    return push(std::move(out), [x](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         Tensor& xg = t.grad_buf(x);
         const std::size_t c = static_cast<std::size_t>(g.cols());
         for (int r = 0; r < xg.rows(); ++r) k::vacc(c, g.row(0), xg.row(r));
@@ -295,9 +321,8 @@ int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
     Tensor out = make(num_segs, cols);
     k::segment_sum(rows, cols, xv.data(), seg.data(), num_segs, out.data());
     const int* sp = seg.data();
-    return push(std::move(out), [x, sp, rows](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x, sp, rows](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         k::segment_sum_backward(rows, g.cols(), g.data(), sp,
                                 t.grad_buf(x).data());
     });
@@ -309,9 +334,8 @@ int Tape::scale(int x, float s) {
     const float* xd = xv.data();
     float* outd = out.data();
     for (std::size_t i = 0; i < xv.size(); ++i) outd[i] = xd[i] * s;
-    return push(std::move(out), [x, s](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {x}, [x, s](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         float* xd = t.grad_buf(x).data();
         const float* gd = g.data();
         for (std::size_t i = 0; i < g.size(); ++i) xd[i] += gd[i] * s;
@@ -335,9 +359,8 @@ int Tape::mape_loss_rows(int preds, const std::vector<float>& targets) {
     Tensor out = make(1, 1);
     out.at(0, 0) = static_cast<float>(loss / static_cast<double>(b));
     auto ts = std::make_shared<const std::vector<float>>(targets);
-    return push(std::move(out), [preds, b, ts](Tape& t, int self) {
-        const Tensor& g = t.nodes_[static_cast<std::size_t>(self)].grad;
-        if (g.empty()) return;
+    return push(std::move(out), {preds}, [preds, b, ts](Tape& t, int self) {
+        const Tensor& g = t.grad(self);
         const float gs = g.at(0, 0) / static_cast<float>(b);
         const Tensor& pv = t.value(preds);
         Tensor& pg = t.grad_buf(preds);
@@ -350,14 +373,19 @@ int Tape::mape_loss_rows(int preds, const std::vector<float>& targets) {
     });
 }
 
-void Tape::backward(int node) {
+std::size_t Tape::backward(int node) {
     grad_buf(node).fill(1.0f);
+    std::size_t skipped = 0;
     for (int i = node; i >= 0; --i) {
         Node& n = nodes_[static_cast<std::size_t>(i)];
-        if (n.grad.empty()) continue;
+        if (!n.requires_grad || n.grad.empty()) {
+            ++skipped;
+            continue;
+        }
         if (n.backprop) n.backprop(*this, i);
         if (n.external) n.external->g.add_inplace(n.grad);
     }
+    return skipped;
 }
 
 } // namespace powergear::nn

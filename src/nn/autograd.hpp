@@ -15,9 +15,17 @@
 //   input_view  borrows caller storage (zero copy; must outlive use of the
 //               tape up to the next reset()),
 //   param       borrows the Param's weights and accumulates into its grad.
+//
+// Requires-grad rule: a node requires a gradient iff some path from it
+// reaches a param leaf. input/input_view leaves, and nodes built only from
+// them, do not: backward never allocates or writes their gradient buffers
+// and sweeps past them, so constant graph inputs (node, edge and metadata
+// features) cost no backward work. Param gradients are unaffected — no
+// param reads a constant's gradient.
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -102,14 +110,22 @@ public:
     /// must be nonzero; otherwise throws std::invalid_argument.
     int mape_loss_rows(int preds, const std::vector<float>& targets);
 
-    void backward(int node);
+    /// Seed d(node)=1, sweep the tape in reverse and flush param gradients.
+    /// Returns how many of the swept nodes had no gradient work: constants
+    /// (see the requires-grad rule above) and nodes the seed never reaches.
+    std::size_t backward(int node);
 
     const Tensor& value(int node) const {
         return nodes_[static_cast<std::size_t>(node)].val;
     }
-    /// Gradient of a node (valid after backward; zero tensor if untouched).
+    /// Gradient of a node (valid after backward; empty if untouched, which
+    /// every node that does not require a gradient is).
     const Tensor& grad(int node) const {
         return nodes_[static_cast<std::size_t>(node)].grad;
+    }
+    /// Whether some path from the node reaches a param leaf.
+    bool requires_grad(int node) const {
+        return nodes_[static_cast<std::size_t>(node)].requires_grad;
     }
     std::size_t num_nodes() const { return nodes_.size(); }
     /// Floats reserved by the arena (tests assert grow-once behavior).
@@ -120,13 +136,25 @@ private:
         Tensor val;
         Tensor grad;           ///< lazily sized on first accumulation
         Param* external = nullptr;
+        bool requires_grad = false;
         std::function<void(Tape&, int)> backprop; ///< adds into parents' grads
     };
 
-    int push(Tensor val, std::function<void(Tape&, int)> backprop = nullptr);
+    /// Append a node computed from `parents`. It requires a gradient iff one
+    /// of them does; otherwise `backprop` is dropped.
+    int push(Tensor val, std::initializer_list<int> parents,
+             std::function<void(Tape&, int)> backprop);
+    /// Append a leaf; only param leaves require a gradient.
+    int push_leaf(Tensor val, Param* external);
     /// Arena-backed zeroed (rows, cols) view.
     Tensor make(int rows, int cols);
     Tensor& grad_buf(int node);
+    /// The node's gradient buffer (allocated on first use), or nullptr when
+    /// the node requires no gradient — backward closures skip such parents.
+    Tensor* grad_sink(int node);
+    /// grad_sink's data, or throwaway arena space of the node's size: the
+    /// fused bias kernels write both parents' gradients in one pass.
+    float* grad_or_scratch(int node);
 
     int scale_rows_impl(int x, std::span<const float> weights,
                         std::shared_ptr<const void> keep);

@@ -30,6 +30,7 @@ const char* phase_name(Phase p) {
     case Phase::Serve: return "serve";
     case Phase::Place: return "place";
     case Phase::Activity: return "activity";
+    case Phase::Backward: return "backward";
     case Phase::kCount: break;
     }
     return "unknown";

@@ -42,6 +42,7 @@ enum class Phase : int {
     Serve,           ///< core::serve — per-request daemon latency + counters
     Place,           ///< fpga::place — annealing placement (board + Vivado-like)
     Activity,        ///< sim::ActivityOracle — per-kernel activity-count memo misses
+    Backward,        ///< gnn::PowerModel::train_epoch — Tape::backward per batch
     kCount
 };
 

@@ -5,6 +5,7 @@
 // from a Rng seeded explicitly, so whole experiments replay bit-for-bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,8 +20,20 @@ public:
     /// Re-initialize the state from a 64-bit seed (splitmix64 expansion).
     void reseed(std::uint64_t seed);
 
-    /// Next raw 64-bit value.
-    std::uint64_t next_u64();
+    /// Next raw 64-bit value. Inline (like next_double): dropout draws one
+    /// value per activation, so an out-of-line call shows in training
+    /// profiles.
+    std::uint64_t next_u64() {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /// Uniform 32-bit value.
     std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
@@ -32,7 +45,9 @@ public:
     std::int64_t next_range(std::int64_t lo, std::int64_t hi);
 
     /// Uniform double in [0, 1).
-    double next_double();
+    double next_double() {
+        return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform float in [lo, hi).
     float next_float(float lo, float hi);

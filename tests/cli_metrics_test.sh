@@ -18,6 +18,15 @@ echo "--- train a tiny model (also exercises train --metrics)"
 test -s train_metrics.json || { echo "FAIL: train metrics missing"; exit 1; }
 grep -q '"ensemble_fit"' train_metrics.json ||
     { echo "FAIL: train metrics lack ensemble_fit"; exit 1; }
+python3 - <<'EOF'
+import json
+phases = json.load(open("train_metrics.json"))["phases"]
+bwd = phases.get("backward")
+assert bwd is not None, f"train metrics lack the backward phase: {sorted(phases)}"
+# Backward sweeps past constant graph inputs: some nodes are skipped, not all.
+nodes, skipped = bwd["counters"]["nodes"], bwd["counters"]["nodes_skipped"]
+assert 0 < skipped < nodes, f"backward skipped {skipped} of {nodes} nodes"
+EOF
 
 echo "--- estimate --metrics emits all expected phase keys"
 "$CLI" estimate --model model.pgm --kernel mvt --samples 6 --size 8 \

@@ -9,8 +9,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "graphgen/graph.hpp"
+#include "ir/ir.hpp"
 #include "nn/kernels_cpu.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -227,6 +230,110 @@ TEST(KernelsCpu, FusedEpiloguesMatchManualLoops) {
             if (y[i] > 0.0f) want += g[i];
         }
         EXPECT_FLOAT_EQ(dbias[c], want);
+    }
+}
+
+// --- sparse operands at training shapes --------------------------------------
+// random_values zeroes ~15% of entries; training operands are far sparser:
+// post-ReLU/dropout activations (and their gradients) are about half zero,
+// one-hot node features nearly all zero. Ref skips exact zeros, blocked
+// multiplies through them, so parity must hold at every zero share.
+
+namespace {
+
+/// ReLU-like operand: a `zero_share` fraction of exact zeros, the rest
+/// positive, as after ReLU.
+std::vector<float> relu_like(Rng& rng, std::size_t n, double zero_share) {
+    std::vector<float> v(n);
+    for (auto& x : v)
+        x = rng.next_double() < zero_share ? 0.0f : rng.next_float(0.0f, 1.0f);
+    return v;
+}
+
+/// Rows of width k holding a single 1 each (one-hot node-class features).
+std::vector<float> one_hot_rows(Rng& rng, int rows, int k) {
+    std::vector<float> v(static_cast<std::size_t>(rows) * k, 0.0f);
+    for (int r = 0; r < rows && k > 0; ++r) {
+        const auto hot = rng.next_below(static_cast<std::uint64_t>(k));
+        v[static_cast<std::size_t>(r) * k + static_cast<std::size_t>(hot)] =
+            1.0f;
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(KernelsCpu, SparseOperandParityAtTrainingShapes) {
+    BackendGuard guard;
+    namespace pg = powergear;
+    const int node_dim =
+        pg::graphgen::node_feature_dim(pg::ir::opcode_count() + 1);
+    const int m = 2003, n = 16; // ~2000 rows, with a row tail for the tiles
+    Rng rng(83);
+    for (const int k : {16, node_dim}) {
+        // zero_share < 0 selects one-hot rows.
+        for (const double zero_share : {0.5, 0.9, 1.0, -1.0}) {
+            SCOPED_TRACE(testing::Message() << "k=" << k << " zero_share="
+                                            << zero_share);
+            auto sparse = [&](int rows, int cols) {
+                return zero_share < 0
+                           ? one_hot_rows(rng, rows, cols)
+                           : relu_like(rng,
+                                       static_cast<std::size_t>(rows) * cols,
+                                       zero_share);
+            };
+            const auto a = sparse(m, k);  // activations / node features
+            const auto g = sparse(m, n);  // ReLU-masked output gradient
+            const auto gk = sparse(m, k); // ReLU-masked gradient, nt shape
+            const auto w = random_values(rng, static_cast<std::size_t>(k) * n);
+            const auto wt =
+                random_values(rng, static_cast<std::size_t>(n) * k);
+            const auto idx =
+                random_indices(rng, static_cast<std::size_t>(m), m);
+
+            // Overwrite variants through the fixed entry points.
+            const std::size_t mn = static_cast<std::size_t>(m) * n;
+            const std::size_t kn = static_cast<std::size_t>(k) * n;
+            std::vector<float> ref(mn, 7.0f), blk(mn, -7.0f);
+            matmul_ref(m, k, n, a.data(), w.data(), ref.data());
+            matmul_blocked(m, k, n, a.data(), w.data(), blk.data());
+            expect_close(ref, blk, "matmul", m, k, n);
+            matmul_nt_ref(m, k, n, gk.data(), wt.data(), ref.data());
+            matmul_nt_blocked(m, k, n, gk.data(), wt.data(), blk.data());
+            expect_close(ref, blk, "matmul_nt", m, k, n);
+            gather_matmul_ref(m, k, n, a.data(), idx.data(), w.data(),
+                              ref.data());
+            gather_matmul_blocked(m, k, n, a.data(), idx.data(), w.data(),
+                                  blk.data());
+            expect_close(ref, blk, "gather_matmul", m, k, n);
+            std::vector<float> ref_tn(kn, 7.0f), blk_tn(kn, -7.0f);
+            matmul_tn_ref(m, k, n, a.data(), g.data(), ref_tn.data());
+            matmul_tn_blocked(m, k, n, a.data(), g.data(), blk_tn.data());
+            expect_close(ref_tn, blk_tn, "matmul_tn", m, k, n);
+
+            // Accumulate variants through dispatch, onto a nonzero start.
+            auto run_acc = [&](Backend be) {
+                set_backend(be);
+                std::vector<float> acc(mn), tn(kn), nt(mn), gtn(kn),
+                    snt(static_cast<std::size_t>(m) * k);
+                for (auto* v : {&acc, &tn, &nt, &gtn, &snt})
+                    for (std::size_t i = 0; i < v->size(); ++i)
+                        (*v)[i] = 0.25f * static_cast<float>(i % 5);
+                matmul_acc(m, k, n, a.data(), w.data(), acc.data());
+                matmul_tn_acc(m, k, n, a.data(), g.data(), tn.data());
+                matmul_nt_acc(m, k, n, gk.data(), wt.data(), nt.data());
+                gather_matmul_tn_acc(m, k, n, a.data(), idx.data(), g.data(),
+                                     gtn.data());
+                scatter_matmul_nt_acc(m, k, n, g.data(), w.data(), idx.data(),
+                                      snt.data());
+                std::vector<float> all;
+                for (const auto* v : {&acc, &tn, &nt, &gtn, &snt})
+                    all.insert(all.end(), v->begin(), v->end());
+                return all;
+            };
+            expect_close(run_acc(Backend::Ref), run_acc(Backend::Blocked),
+                         "acc-kernels", m, k, n);
+        }
     }
 }
 

@@ -2,9 +2,13 @@
 // every tape operation — the foundation all model results rest on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <memory>
 
+#include "gnn/convs.hpp"
 #include "nn/autograd.hpp"
 #include "nn/kernels_cpu.hpp"
 #include "nn/layers.hpp"
@@ -390,4 +394,190 @@ TEST(Layers, SnapshotRestoreRoundTrips) {
     lin.weight.w.at(1, 1) = 99.0f;
     restore_params(params, snap);
     EXPECT_FLOAT_EQ(lin.weight.w.at(1, 1), before);
+}
+
+// --- requires-grad pruning ---------------------------------------------------
+// Constant leaves (input/input_view) and nodes built only from them get no
+// gradient work in backward. The pruning must be invisible to every Param:
+// their gradients are bit-equal to a run where the same tensors enter as
+// Params and so take the full backward.
+
+namespace {
+
+namespace gnn = powergear::gnn;
+namespace graphgen = powergear::graphgen;
+
+/// 5-node graph with every relation type, ~half-zero node features and
+/// distinct edge features.
+gnn::GraphTensors tape_graph() {
+    Rng rng(89);
+    graphgen::Graph g;
+    g.num_nodes = 5;
+    g.node_dim = 6;
+    g.x.resize(static_cast<std::size_t>(g.num_nodes * g.node_dim));
+    for (float& v : g.x)
+        v = rng.next_double() < 0.5 ? 0.0f : rng.next_float(0.0f, 1.0f);
+    const int ends[][3] = {{0, 1, 0}, {1, 2, 1}, {2, 3, 2}, {3, 4, 3},
+                           {4, 0, 0}, {0, 2, 3}, {3, 1, 1}};
+    for (const auto& [src, dst, rel] : ends) {
+        graphgen::Graph::Edge e;
+        e.src = src;
+        e.dst = dst;
+        e.relation = rel;
+        for (float& f : e.feat) f = rng.next_float(0.0f, 1.0f);
+        g.edges.push_back(e);
+    }
+    return gnn::GraphTensors::from(g, std::vector<double>(3, 1.0));
+}
+
+struct ConvCase {
+    const char* name;
+    /// Whether the conv builds nodes from the constant x alone (gather /
+    /// scale / scatter chains), beyond the x leaf itself.
+    bool derived_constants;
+    std::function<std::unique_ptr<gnn::Conv>(int in, Rng& rng)> make;
+};
+
+std::vector<ConvCase> conv_cases() {
+    const int out = 8, edim = graphgen::Graph::kEdgeDim;
+    auto hec = [=](bool edge_features, bool directed) {
+        return [=](int in, Rng& rng) -> std::unique_ptr<gnn::Conv> {
+            return std::make_unique<gnn::HecConv>(in, out, edim, edge_features,
+                                                  directed, true, rng);
+        };
+    };
+    return {
+        {"HEC-GNN", false, hec(true, true)},
+        {"HEC-GNN w/o e.f.", false, hec(false, true)},
+        {"HEC-GNN w/o dir.", false, hec(true, false)},
+        {"GCN", false,
+         [=](int in, Rng& rng) -> std::unique_ptr<gnn::Conv> {
+             return std::make_unique<gnn::GcnConv>(in, out, rng);
+         }},
+        {"GraphSage", true,
+         [=](int in, Rng& rng) -> std::unique_ptr<gnn::Conv> {
+             return std::make_unique<gnn::SageConv>(in, out, rng);
+         }},
+        {"GraphConv", true,
+         [=](int in, Rng& rng) -> std::unique_ptr<gnn::Conv> {
+             return std::make_unique<gnn::GraphConvLayer>(in, out, rng);
+         }},
+        {"GINE", true,
+         [=](int in, Rng& rng) -> std::unique_ptr<gnn::Conv> {
+             return std::make_unique<gnn::GineConv>(in, out, edim, rng);
+         }},
+    };
+}
+
+std::vector<std::uint32_t> bits(const Tensor& t) {
+    std::vector<std::uint32_t> out(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        out[i] = std::bit_cast<std::uint32_t>(t.data()[i]);
+    return out;
+}
+
+} // namespace
+
+TEST(TapeRequiresGrad, ConstantsGetNoGradientAndParamGradsAreUnchanged) {
+    namespace kn = powergear::nn::kernels;
+    const kn::Backend saved = kn::backend();
+    const gnn::GraphTensors g = tape_graph();
+    for (const kn::Backend be : {kn::Backend::Ref, kn::Backend::Blocked}) {
+        kn::set_backend(be);
+        for (const ConvCase& c : conv_cases()) {
+            SCOPED_TRACE(testing::Message()
+                         << kn::backend_name(be) << " " << c.name);
+            // Two layers, so the second one's input requires a gradient.
+            Rng rng(97);
+            const std::unique_ptr<gnn::Conv> first = c.make(g.x.cols(), rng);
+            const std::unique_ptr<gnn::Conv> second = c.make(8, rng);
+            std::vector<Param*> params;
+            first->collect(params);
+            second->collect(params);
+
+            auto run = [&](Tape& t, int h) {
+                for (Param* p : params) p->zero_grad();
+                const int out = to_scalar(
+                    t, second->forward(t, g, first->forward(t, g, h)));
+                t.backward(out);
+                std::vector<std::vector<std::uint32_t>> grads;
+                for (const Param* p : params) grads.push_back(bits(p->g));
+                return grads;
+            };
+
+            Tape pruned;
+            const int x = pruned.input_view(g.x);
+            const auto pruned_grads = run(pruned, x);
+            EXPECT_FALSE(pruned.requires_grad(x));
+            EXPECT_TRUE(pruned.grad(x).empty());
+            std::size_t constants = 0;
+            for (int i = 0; i < static_cast<int>(pruned.num_nodes()); ++i) {
+                if (pruned.requires_grad(i)) continue;
+                ++constants;
+                EXPECT_TRUE(pruned.grad(i).empty()) << "node " << i;
+            }
+            // The x leaf and the to_scalar mix leaf, plus edge-feature
+            // leaves and the chains derived from x where the conv has them.
+            EXPECT_GE(constants, 2u);
+            std::size_t leaves = 0;
+            for (int i = 0; i < static_cast<int>(pruned.num_nodes()); ++i) {
+                const float* v = pruned.value(i).data();
+                bool is_leaf = v == g.x.data() || v == g.edge_feat.data();
+                for (const Tensor& ef : g.rel_edge_feat)
+                    is_leaf |= v == ef.data();
+                if (!is_leaf) continue;
+                ++leaves;
+                EXPECT_FALSE(pruned.requires_grad(i)) << "leaf " << i;
+            }
+            if (c.derived_constants) {
+                EXPECT_GT(constants, leaves + 1);
+            }
+
+            Param xp(g.x);
+            Tape full;
+            const auto full_grads = run(full, full.param(&xp));
+            EXPECT_FALSE(xp.g.empty());
+            ASSERT_EQ(pruned_grads.size(), full_grads.size());
+            for (std::size_t p = 0; p < full_grads.size(); ++p)
+                EXPECT_EQ(pruned_grads[p], full_grads[p]) << "param " << p;
+        }
+    }
+    kn::set_backend(saved);
+}
+
+TEST(TapeRequiresGrad, BackwardCountsSkippedNodes) {
+    Rng rng(101);
+    Param w(Tensor::xavier(3, 2, rng));
+    const Tensor x = Tensor::xavier(4, 3, rng);
+    Tape t;
+    const int scaled = t.scale(t.input_view(x), 2.0f); // constant chain
+    EXPECT_FALSE(t.requires_grad(scaled));
+    const int out = to_scalar(t, t.matmul(scaled, t.param(&w)));
+    EXPECT_TRUE(t.requires_grad(out));
+    // Skipped: x, scaled, the to_scalar mix leaf.
+    EXPECT_EQ(t.backward(out), 3u);
+    EXPECT_TRUE(t.grad(scaled).empty());
+    EXPECT_FALSE(t.grad(out).empty());
+}
+
+// The branch-free ReLU backward (dx = y > 0 ? dx + g : dx) must equal the
+// conditional add bit for bit, signed zeros included.
+TEST(TapeRequiresGrad, ReluBackwardMatchesBranchyLoopBitwise) {
+    const float vals[] = {0.0f, -0.0f, 1.5f, -2.0f, 1e-30f, -1e-30f};
+    std::vector<float> y, g, dx;
+    for (const float yv : vals)
+        for (const float gv : vals)
+            for (const float dv : vals) {
+                y.push_back(yv);
+                g.push_back(gv);
+                dx.push_back(dv);
+            }
+    std::vector<float> want = dx;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        if (y[i] > 0.0f) want[i] += g[i];
+    kernels::relu_backward(dx.size(), y.data(), g.data(), dx.data());
+    for (std::size_t i = 0; i < dx.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "y=" << y[i] << " g=" << g[i];
 }

@@ -261,10 +261,17 @@ TEST_F(ObsTest, EstimatePipelineEmitsAllPhases) {
 
     const obs::Report rep = obs::snapshot();
     for (const char* phase : {"dataset_gen", "hls_schedule", "sim_trace",
-                              "graphgen", "ensemble_fit", "estimate_batch"})
+                              "graphgen", "ensemble_fit", "backward",
+                              "estimate_batch"})
         EXPECT_EQ(rep.phases.count(phase), 1u) << phase;
     EXPECT_EQ(rep.phases.at("estimate_batch").counters.at("estimates"), 6u);
     EXPECT_EQ(rep.phases.at("ensemble_fit").counters.at("members_trained"), 2u);
+    // One backward per minibatch; the constant graph inputs (node, edge and
+    // metadata features) and what is built only from them are skipped.
+    const obs::PhaseStats& bwd = rep.phases.at("backward");
+    EXPECT_GT(bwd.calls, 0u);
+    EXPECT_GT(bwd.counters.at("nodes_skipped"), 0u);
+    EXPECT_LT(bwd.counters.at("nodes_skipped"), bwd.counters.at("nodes"));
     // Throughput is derivable: the JSON carries rates_per_s.
     const std::string json = rep.to_json();
     EXPECT_NE(json.find("rates_per_s"), std::string::npos);

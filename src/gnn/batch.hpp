@@ -14,10 +14,11 @@
 //   graph_id[r]      owning graph of merged node row r (ascending)
 //   edge offsetting  merged_idx = local_idx + node_offset[graph]
 //
-// Numerics: on the ref backend a batched forward is bit-identical per
-// sample to the unbatched forward; on the blocked backend the tiling and
-// sparsity decisions see the whole batch, so results are only guaranteed
-// within the documented <=1e-5 relative envelope (DESIGN.md §10/§13).
+// Numerics: there is no separate per-graph forward; a graph run alone is a
+// batch of one. On the ref backend each sample of an N-graph batch is
+// bit-identical to its batch of one; on the blocked backend the tiling sees
+// the whole batch, so results are only guaranteed within the documented
+// <=1e-5 relative envelope (DESIGN.md §10/§13).
 #pragma once
 
 #include <span>

@@ -133,25 +133,6 @@ void Ensemble::adopt(std::vector<std::unique_ptr<PowerModel>> members) {
     members_ = std::move(members);
 }
 
-Ensemble::Stats Ensemble::predict_stats(const GraphTensors& g) const {
-    if (members_.empty())
-        throw std::logic_error("Ensemble::predict_stats before fit");
-    std::vector<double> preds;
-    preds.reserve(members_.size());
-    nn::Tape t;
-    for (const auto& m : members_) preds.push_back(m->predict(g, t));
-    double mean = 0.0;
-    for (double p : preds) mean += p;
-    mean /= static_cast<double>(preds.size());
-    double var = 0.0;
-    for (double p : preds) var += (p - mean) * (p - mean);
-    var /= static_cast<double>(preds.size());
-    Stats st;
-    st.mean = static_cast<float>(mean);
-    st.spread = static_cast<float>(std::sqrt(var));
-    return st;
-}
-
 std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
     std::span<const GraphTensors* const> graphs) const {
     if (members_.empty())

@@ -42,18 +42,13 @@ public:
     void fit(std::span<const GraphTensors* const> graphs,
              std::span<const float> targets, const EnsembleConfig& cfg);
 
-    /// Member mean and spread for one graph through per-graph forwards.
-    /// Production paths use predict_stats_batch; this is the reference
-    /// oracle the tests compare the batched stats against.
-    Stats predict_stats(const GraphTensors& g) const;
-
-    /// Batched predict_stats: samples are merged into block-diagonal chunks
-    /// of at most gnn::kBatchChunk graphs (assembled once, serially) and
-    /// each member runs one fused forward per chunk; tasks fan out over
-    /// (chunk × member) with a fixed slot-ordered reduction, so results are
-    /// bit-identical at any POWERGEAR_JOBS value. Per sample this matches
-    /// predict_stats exactly on the ref backend and within 1e-5 relative on
-    /// blocked (DESIGN.md §13).
+    /// Member mean and spread per sample: samples are merged into
+    /// block-diagonal chunks of at most gnn::kBatchChunk graphs (assembled
+    /// once, serially) and each member runs one fused forward per chunk;
+    /// tasks fan out over (chunk × member) with a fixed slot-ordered
+    /// reduction, so results are bit-identical at any POWERGEAR_JOBS value.
+    /// Per sample this matches a one-element call exactly on the ref backend
+    /// and within 1e-5 relative on blocked (DESIGN.md §13).
     std::vector<Stats> predict_stats_batch(
         std::span<const GraphTensors* const> graphs) const;
 

@@ -65,39 +65,7 @@ std::vector<nn::Param*> PowerModel::params() {
     return out;
 }
 
-int PowerModel::forward(nn::Tape& t, const GraphTensors& g, bool training) {
-    if (analysis::checks_enabled()) {
-        analysis::Report r = analysis::check_model_inputs(
-            cfg_.node_dim, cfg_.metadata_dim, cfg_.edge_dim, cfg_.metadata, g);
-        analysis::require_clean(r, "PowerModel::forward");
-    }
-    int h = t.input_view(g.x);
-    int pooled = -1;
-    for (auto& conv : convs_) {
-        h = conv->forward(t, g, h);
-        if (cfg_.dropout > 0.0f)
-            h = t.dropout(h, cfg_.dropout, rng_, training);
-        if (cfg_.jumping_knowledge) {
-            const int layer_pool = t.sum_rows(h);
-            pooled = pooled < 0 ? layer_pool : t.add(pooled, layer_pool);
-        }
-    }
-    if (!cfg_.jumping_knowledge) pooled = t.sum_rows(h);
-    // Tame the sum-pooled magnitude (graphs have O(100) nodes) so the head
-    // starts near the warm-started output bias; the constant keeps the
-    // graph-size signal Eq. (6)'s sum pooling carries.
-    pooled = t.scale(pooled, 1.0f / 32.0f);
-
-    int holistic = pooled;
-    if (cfg_.metadata) {
-        const int hm = meta_fc_->forward_relu(t, t.input_view(g.metadata));
-        holistic = t.concat_cols(pooled, hm);
-    }
-    return head_->forward(t, holistic);
-}
-
-int PowerModel::forward_batch(nn::Tape& t, const GraphBatch& b,
-                              bool training) {
+int PowerModel::forward(nn::Tape& t, const GraphBatch& b, bool training) {
     // Width checks run on the merged tensors (check_model_inputs validates
     // column widths only; per-graph shape checks happened when each sample's
     // tensors were built). The conv layers are index-local, so they run on
@@ -107,7 +75,7 @@ int PowerModel::forward_batch(nn::Tape& t, const GraphBatch& b,
         analysis::Report r = analysis::check_model_inputs(
             cfg_.node_dim, cfg_.metadata_dim, cfg_.edge_dim, cfg_.metadata,
             b.g);
-        analysis::require_clean(r, "PowerModel::forward_batch");
+        analysis::require_clean(r, "PowerModel::forward");
     }
     const std::span<const int> seg(b.graph_id);
     int h = t.input_view(b.g.x);
@@ -122,6 +90,9 @@ int PowerModel::forward_batch(nn::Tape& t, const GraphBatch& b,
         }
     }
     if (!cfg_.jumping_knowledge) pooled = t.segment_sum(h, seg, b.num_graphs);
+    // Tame the sum-pooled magnitude (graphs have O(100) nodes) so the head
+    // starts near the warm-started output bias; the constant keeps the
+    // graph-size signal Eq. (6)'s sum pooling carries.
     pooled = t.scale(pooled, 1.0f / 32.0f);
 
     int holistic = pooled;
@@ -133,20 +104,17 @@ int PowerModel::forward_batch(nn::Tape& t, const GraphBatch& b,
 }
 
 float PowerModel::predict(const GraphTensors& g) {
+    const GraphTensors* one = &g;
+    const GraphBatch b =
+        GraphBatch::assemble(std::span<const GraphTensors* const>(&one, 1));
     nn::Tape t;
-    return predict(g, t);
-}
-
-float PowerModel::predict(const GraphTensors& g, nn::Tape& t) {
-    t.reset();
-    const int out = forward(t, g, /*training=*/false);
-    return t.value(out).at(0, 0);
+    return predict_batch(b, t)[0];
 }
 
 std::vector<float> PowerModel::predict_batch(const GraphBatch& b,
                                              nn::Tape& t) {
     t.reset();
-    const int out = forward_batch(t, b, /*training=*/false);
+    const int out = forward(t, b, /*training=*/false);
     const nn::Tensor& v = t.value(out);
     std::vector<float> preds(static_cast<std::size_t>(b.num_graphs));
     for (int i = 0; i < b.num_graphs; ++i)
@@ -184,7 +152,7 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
             members.push_back(graphs[static_cast<std::size_t>(order[i])]);
         const GraphBatch batch = GraphBatch::assemble(members);
         const int loss =
-            t.mape_loss_rows(forward_batch(t, batch, true), ys);
+            t.mape_loss_rows(forward(t, batch, true), ys);
         adam_->zero_grad();
         {
             const obs::Scope obs_scope(obs::Phase::Backward);

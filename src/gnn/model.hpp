@@ -43,19 +43,15 @@ class PowerModel {
 public:
     explicit PowerModel(const ModelConfig& cfg);
 
-    /// Per-graph inference (no dropout). Returns the power estimate in
-    /// watts. Production paths use predict_batch; this is the reference
-    /// oracle the batching tests compare the fused forward against.
+    /// Single-graph inference (no dropout): a batch of one through
+    /// predict_batch. Returns the power estimate in watts.
     float predict(const GraphTensors& g);
-    /// Inference reusing a caller-owned tape (resets it first) so repeated
-    /// predictions share one grown-once arena instead of reallocating.
-    float predict(const GraphTensors& g, nn::Tape& t);
 
     /// Fused batched inference over a pre-assembled block-diagonal batch:
     /// one forward pass, one estimate per member graph (in batch order).
-    /// The batch must outlive the tape's use up to its next reset(). On the
-    /// ref backend each result is bit-identical to predict() on the same
-    /// graph; on blocked they agree within 1e-5 relative (DESIGN.md §13).
+    /// The batch must outlive the tape's use up to its next reset(). Each
+    /// result matches that graph's batch of one within 1e-5 relative (bit
+    /// for bit on the ref backend; DESIGN.md §13).
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.
@@ -75,9 +71,8 @@ public:
     const ModelConfig& config() const { return cfg_; }
 
 private:
-    int forward(nn::Tape& t, const GraphTensors& g, bool training);
-    /// Batched forward over a merged batch; returns a (num_graphs, 1) node.
-    int forward_batch(nn::Tape& t, const GraphBatch& b, bool training);
+    /// The model forward over a merged batch; returns a (num_graphs, 1) node.
+    int forward(nn::Tape& t, const GraphBatch& b, bool training);
 
     ModelConfig cfg_;
     util::Rng rng_;

@@ -297,19 +297,6 @@ int Tape::concat_cols(int a, int b) {
     });
 }
 
-int Tape::sum_rows(int x) {
-    const Tensor& xv = value(x);
-    const std::size_t cols = static_cast<std::size_t>(xv.cols());
-    Tensor out = make(1, xv.cols());
-    for (int r = 0; r < xv.rows(); ++r) k::vacc(cols, xv.row(r), out.row(0));
-    return push(std::move(out), {x}, [x](Tape& t, int self) {
-        const Tensor& g = t.grad(self);
-        Tensor& xg = t.grad_buf(x);
-        const std::size_t c = static_cast<std::size_t>(g.cols());
-        for (int r = 0; r < xg.rows(); ++r) k::vacc(c, g.row(0), xg.row(r));
-    });
-}
-
 int Tape::segment_sum(int x, std::span<const int> seg, int num_segs) {
     const Tensor& xv = value(x);
     if (static_cast<int>(seg.size()) != xv.rows())

@@ -95,12 +95,10 @@ public:
     int scale_rows(int x, std::span<const float> weights);
     int scale_rows(int x, std::vector<float> weights);
     int concat_cols(int a, int b);
-    /// Column-wise sum: (n,d) -> (1,d); the sum-pooling readout.
-    int sum_rows(int x);
     /// Segmented column-wise sum: (n,d) -> (num_segs,d), row r accumulated
-    /// into output row seg[r] in ascending row order (a one-segment call is
-    /// bit-identical to sum_rows). seg values must lie in [0, num_segs).
-    /// Borrows the ids (lifetime as input_view).
+    /// into output row seg[r] in ascending row order; the sum-pooling
+    /// readout. seg values must lie in [0, num_segs). Borrows the ids
+    /// (lifetime as input_view).
     int segment_sum(int x, std::span<const int> seg, int num_segs);
     int scale(int x, float s);
 

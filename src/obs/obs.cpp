@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,8 +34,6 @@ const char* phase_name(Phase p) {
     }
     return "unknown";
 }
-
-#ifndef POWERGEAR_NO_OBS
 
 namespace {
 
@@ -74,16 +71,7 @@ Sink& local_sink() {
     return *sink;
 }
 
-/// -1 unresolved, else 0/1. Resolved lazily from the environment so library
-/// users get metrics with nothing but POWERGEAR_METRICS=out.json set.
-std::atomic<int> g_enabled{-1};
-
-bool resolve_from_env() {
-    const char* obs_flag = std::getenv("POWERGEAR_OBS");
-    if (obs_flag && *obs_flag && std::string(obs_flag) != "0") return true;
-    const char* metrics = std::getenv("POWERGEAR_METRICS");
-    return metrics && *metrics;
-}
+std::atomic<bool> g_enabled{false};
 
 std::uint64_t now_ns() {
     return static_cast<std::uint64_t>(
@@ -104,18 +92,9 @@ double percentile_ms(const std::vector<double>& sorted_s, double q) {
 
 } // namespace
 
-bool enabled() {
-    int v = g_enabled.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = resolve_from_env() ? 1 : 0;
-        g_enabled.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
-}
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_enabled(bool on) {
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 void reset() {
     Registry& r = registry();
@@ -191,7 +170,5 @@ Report snapshot() {
     }
     return rep;
 }
-
-#endif // POWERGEAR_NO_OBS
 
 } // namespace powergear::obs

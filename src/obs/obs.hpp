@@ -12,11 +12,9 @@
 // Cost model:
 //   - disabled (default): one relaxed atomic load per probe. Nothing is
 //     allocated, nothing is recorded.
-//   - enabled (`--metrics`, POWERGEAR_METRICS or set_enabled(true)): one
+//   - enabled (set_enabled(true); the CLI calls it for `--metrics`): one
 //     steady_clock read at scope entry/exit plus a thread-local vector
 //     push_back.
-//   - compiled out (-DPOWERGEAR_NO_OBS=ON): Scope/add are empty inlines;
-//     the probes vanish entirely.
 //
 // Counters are summed per-task contributions, so totals are bit-identical
 // for every POWERGEAR_JOBS value (same contract as the parallel runtime).
@@ -37,7 +35,7 @@ enum class Phase : int {
     DatasetGen,      ///< dataset::generate_dataset_for — whole-dataset flow
     EnsembleFit,     ///< gnn::Ensemble::fit — (fold x seed) member training
     EstimateBatch,   ///< core::PowerGear::estimate_batch — inference
-    Dse,             ///< dse::Explorer::run — design-space exploration
+    Dse,             ///< dse::Explorer, StreamingExplorer, run_shard/merge_shards
     Cache,           ///< io::Cache — pipeline-cache hits/misses/stores
     Serve,           ///< core::serve — per-request daemon latency + counters
     Place,           ///< fpga::place — annealing placement (board + Vivado-like)
@@ -51,11 +49,8 @@ constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
 /// Stable snake_case phase key used in the JSON report ("hls_schedule", ...).
 const char* phase_name(Phase p);
 
-#ifndef POWERGEAR_NO_OBS
-
-/// Whether probes record. First query resolves the default from the
-/// environment: truthy POWERGEAR_OBS or a non-empty POWERGEAR_METRICS path
-/// turn recording on. set_enabled overrides (the CLI's --metrics flag).
+/// Whether probes record. Off until set_enabled(true); the library never
+/// reads the environment (the CLI resolves --metrics / POWERGEAR_METRICS).
 bool enabled();
 void set_enabled(bool on);
 
@@ -91,20 +86,5 @@ private:
     bool active_;
     std::uint64_t start_ns_ = 0;
 };
-
-#else // POWERGEAR_NO_OBS: probes compile to nothing.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void reset() {}
-inline void add(Phase, const char*, std::uint64_t = 1) {}
-inline void record(Phase, double) {}
-
-class Scope {
-public:
-    explicit Scope(Phase) {}
-};
-
-#endif // POWERGEAR_NO_OBS
 
 } // namespace powergear::obs

@@ -59,11 +59,7 @@ struct Report {
     bool write(const std::string& path) const;
 };
 
-#ifndef POWERGEAR_NO_OBS
 /// Merge every thread sink into a detached Report.
 Report snapshot();
-#else
-inline Report snapshot() { return {}; }
-#endif
 
 } // namespace powergear::obs

@@ -219,8 +219,8 @@ TEST(Explorer, RejectsBadInput) {
 
 TEST(Explorer, EstimatorFormMatchesExploreOverPerSampleStats) {
     // run(pool, pg) must sample exactly the designs dse::explore picks from
-    // points scored by the per-graph reference oracle (predict_stats means
-    // of the same trained ensemble).
+    // points scored one sample at a time (batch-of-one predict_stats_batch
+    // means of the same trained ensemble).
     namespace ds = powergear::dataset;
     namespace core = powergear::core;
     namespace io = powergear::io;
@@ -252,8 +252,9 @@ TEST(Explorer, EstimatorFormMatchesExploreOverPerSampleStats) {
         const ds::Sample& s = pool[i];
         const double latency = static_cast<double>(s.latency_cycles);
         const int idx = static_cast<int>(i);
+        const powergear::gnn::GraphTensors* one = &s.tensors;
         predicted.push_back(
-            {latency, oracle.predict_stats(s.tensors).mean, idx});
+            {latency, oracle.predict_stats_batch({&one, 1})[0].mean, idx});
         truth.push_back({latency, s.label(ds::PowerKind::Dynamic), idx});
     }
     const DseResult via_estimator =

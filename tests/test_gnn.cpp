@@ -203,7 +203,8 @@ TEST(Ensemble, AveragesMembersAndEvaluates) {
               60.0);
 
     // Four members disagree a little.
-    const gnn::Ensemble::Stats st = ens.predict_stats(*graphs[0]);
+    const gnn::Ensemble::Stats st =
+        ens.predict_stats_batch({&graphs[0], 1})[0];
     EXPECT_TRUE(std::isfinite(st.mean));
     EXPECT_GE(st.spread, 0.0f);
 }
@@ -249,13 +250,12 @@ TEST(Ensemble, SingleModelModeUsesValidationSplit) {
             std::span<const float>(targets), cfg);
     EXPECT_EQ(ens.num_members(), 1);
     // A single member cannot disagree with itself.
-    EXPECT_FLOAT_EQ(ens.predict_stats(*graphs[0]).spread, 0.0f);
+    EXPECT_FLOAT_EQ(ens.predict_stats_batch({&graphs[0], 1})[0].spread, 0.0f);
 }
 
 TEST(Ensemble, PredictBeforeFitThrows) {
     gnn::Ensemble ens;
     const GraphTensors g = tiny_tensors();
-    EXPECT_THROW(ens.predict_stats(g), std::logic_error);
     const GraphTensors* ptr = &g;
     EXPECT_THROW(ens.predict_stats_batch({&ptr, 1}), std::logic_error);
 }

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "gnn/convs.hpp"
 #include "nn/autograd.hpp"
@@ -42,9 +44,14 @@ void check_gradient(Param& p,
     }
 }
 
-/// Sum all entries of a node to a scalar via sum_rows + a fixed column mix.
+/// Sum all entries of a node to a scalar via a one-segment segment_sum + a
+/// fixed column mix.
 int to_scalar(Tape& t, int x) {
-    int row = t.sum_rows(x); // (1, d)
+    // The tape borrows the segment ids until backward; all-zero ids outlive it.
+    static const std::vector<int> kOneSegment(4096, 0);
+    const std::size_t rows = static_cast<std::size_t>(t.value(x).rows());
+    int row = t.segment_sum(
+        x, std::span<const int>(kOneSegment).first(rows), 1); // (1, d)
     Tensor mix(t.value(row).cols(), 1);
     for (int i = 0; i < mix.rows(); ++i) mix.at(i, 0) = 0.3f + 0.1f * i;
     return t.matmul(row, t.input(mix));

@@ -98,10 +98,11 @@ TEST(Serialize, EnsembleRoundTripAveragesIdentically) {
             std::span<const float>(targets), cfg);
 
     const GraphTensors g = probe_graph();
-    const gnn::Ensemble::Stats before = ens.predict_stats(g);
+    const GraphTensors* one = &g;
+    const gnn::Ensemble::Stats before = ens.predict_stats_batch({&one, 1})[0];
     const gnn::Ensemble loaded = io::decode_ensemble(io::encode_ensemble(ens));
     EXPECT_EQ(loaded.num_members(), ens.num_members());
-    const gnn::Ensemble::Stats after = loaded.predict_stats(g);
+    const gnn::Ensemble::Stats after = loaded.predict_stats_batch({&one, 1})[0];
     EXPECT_EQ(after.mean, before.mean);
     EXPECT_EQ(after.spread, before.spread);
 }
@@ -134,7 +135,9 @@ TEST(Serialize, FileRoundTrip) {
     const gnn::Ensemble loaded = io::load_ensemble_file(path);
     EXPECT_EQ(loaded.num_members(), 1);
     const GraphTensors g = probe_graph();
-    EXPECT_EQ(loaded.predict_stats(g).mean, ens.predict_stats(g).mean);
+    const GraphTensors* one = &g;
+    EXPECT_EQ(loaded.predict_stats_batch({&one, 1})[0].mean,
+              ens.predict_stats_batch({&one, 1})[0].mean);
     std::remove(path.c_str());
     EXPECT_THROW(io::load_ensemble_file(path), std::runtime_error);
 }

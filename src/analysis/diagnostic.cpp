@@ -73,7 +73,7 @@ const std::vector<RuleInfo>& rule_registry() {
         {"API002", Severity::Error,
          "ensemble would train no members (folds and seeds both < 1)"},
         {"API003", Severity::Error, "dropout probability outside [0, 1)"},
-        {"API004", Severity::Error, "non-positive learning rate"},
+        {"API004", Severity::Error, "non-positive or non-finite learning rate"},
         {"API005", Severity::Error, "non-positive mini-batch size"},
         {"API006", Severity::Error,
          "non-positive hidden width or conv layer count"},

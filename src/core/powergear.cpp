@@ -1,6 +1,7 @@
 #include "core/powergear.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
@@ -35,13 +36,13 @@ analysis::Report PowerGear::Options::validate() const {
               "folds (" + std::to_string(folds) + ") and seeds (" +
                   std::to_string(seeds) +
                   ") both < 1: the ensemble would train no members");
-    if (dropout < 0.0f || dropout >= 1.0f)
+    if (!(dropout >= 0.0f && dropout < 1.0f)) // NaN fails both bounds
         r.add("API003", "dropout", -1,
               "dropout must lie in [0, 1) (got " + std::to_string(dropout) +
                   ")");
-    if (learning_rate <= 0.0)
+    if (!(learning_rate > 0.0 && std::isfinite(learning_rate)))
         r.add("API004", "learning_rate", -1,
-              "learning rate must be positive (got " +
+              "learning rate must be positive and finite (got " +
                   std::to_string(learning_rate) + ")");
     if (batch_size <= 0)
         r.add("API005", "batch_size", batch_size,

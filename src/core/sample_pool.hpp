@@ -4,9 +4,10 @@
 // the unit every batch entry point (PowerGear::fit / estimate_batch /
 // evaluate_mape, dse::Explorer::run) consumes. It never copies or owns the
 // samples themselves; at most it carries a shared pointer index (the
-// "backed" pools built by of/except/adopt) so the view stays valid while any
-// copy of the pool is alive. Plain views over a caller's own pointer array
-// cost two words and borrow the array instead.
+// "backed" pools built by adopt, which dataset::pool_of / pool_except use)
+// so the view stays valid while any copy of the pool is alive. Plain views
+// over a caller's own pointer array cost two words and borrow the array
+// instead.
 #pragma once
 
 #include <memory>
@@ -27,7 +28,7 @@ public:
     /// pool. Explicit on purpose: borrowing is a lifetime contract the call
     /// site should spell out. (The implicit vector<Sample*> -> SamplePool
     /// conversion this type once offered is gone — build pools through
-    /// dataset::pool_of / of / except / adopt, or borrow a View explicitly.)
+    /// dataset::pool_of / pool_except / adopt, or borrow a View explicitly.)
     explicit SamplePool(View view) : view_(view) {}
 
     /// Pool backed by its own (shared) pointer index. The samples themselves
@@ -38,26 +39,6 @@ public:
             std::move(ptrs));
         p.view_ = View(p.index_->data(), p.index_->size());
         return p;
-    }
-
-    /// Every sample of one dataset, in design-index order.
-    static SamplePool of(const dataset::Dataset& ds) {
-        std::vector<const dataset::Sample*> ptrs;
-        ptrs.reserve(ds.samples.size());
-        for (const dataset::Sample& s : ds.samples) ptrs.push_back(&s);
-        return adopt(std::move(ptrs));
-    }
-
-    /// Every sample of every dataset except `held_out` (leave-one-out pools).
-    static SamplePool except(std::span<const dataset::Dataset> suite,
-                             std::size_t held_out) {
-        std::vector<const dataset::Sample*> ptrs;
-        for (std::size_t d = 0; d < suite.size(); ++d) {
-            if (d == held_out) continue;
-            for (const dataset::Sample& s : suite[d].samples)
-                ptrs.push_back(&s);
-        }
-        return adopt(std::move(ptrs));
     }
 
     std::size_t size() const { return view_.size(); }

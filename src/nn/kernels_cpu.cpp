@@ -1,5 +1,6 @@
 #include "nn/kernels_cpu.hpp"
 
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -75,10 +76,9 @@ void matmul_nt_ref_impl(int m, int k, int n, const float* a, const float* b,
     }
 }
 
-template <bool Acc>
 void gather_matmul_ref_impl(int e, int k, int n, const float* x,
                             const int* idx, const float* w, float* out) {
-    if (!Acc) zero_fill(out, row(e, n));
+    zero_fill(out, row(e, n));
     for (int i = 0; i < e; ++i) {
         float* crow = out + row(i, n);
         const float* arow = x + row(idx[i], k);
@@ -91,31 +91,62 @@ void gather_matmul_ref_impl(int e, int k, int n, const float* x,
     }
 }
 
-// --- segmented reductions ----------------------------------------------------
-// Ascending-row accumulation into the destination segment row. With one
-// segment this is exactly the vacc row loop, so a graph's readout does not
-// depend on which batch it rides in on this backend.
-
-void segment_sum_ref_impl(int rows, int cols, const float* x, const int* seg,
-                          int num_segs, float* out) {
-    zero_fill(out, row(num_segs, cols));
-    for (int r = 0; r < rows; ++r) {
-        const float* xr = x + row(r, cols);
-        float* dst = out + row(seg[r], cols);
-        for (int c = 0; c < cols; ++c) dst[c] += xr[c];
+void gather_matmul_tn_acc_ref_impl(int e, int k, int n, const float* x,
+                                   const int* idx, const float* g, float* dw) {
+    for (int r = 0; r < e; ++r) {
+        const float* xrow = x + row(idx[r], k);
+        const float* grow = g + row(r, n);
+        for (int p = 0; p < k; ++p) {
+            const float xv = xrow[p];
+            if (xv == 0.0f) continue;
+            float* dwrow = dw + row(p, n);
+            for (int j = 0; j < n; ++j) dwrow[j] += xv * grow[j];
+        }
     }
 }
 
-void segment_sum_backward_ref_impl(int rows, int cols, const float* g,
-                                   const int* seg, float* dx) {
-    for (int r = 0; r < rows; ++r) {
-        const float* gr = g + row(seg[r], cols);
-        float* dr = dx + row(r, cols);
-        for (int c = 0; c < cols; ++c) dr[c] += gr[c];
+void scatter_matmul_nt_acc_ref_impl(int e, int k, int n, const float* g,
+                                    const float* w, const int* idx,
+                                    float* dx) {
+    for (int r = 0; r < e; ++r) {
+        const float* grow = g + row(r, n);
+        float* drow = dx + row(idx[r], k);
+        for (int p = 0; p < k; ++p) {
+            const float* wrow = w + row(p, n);
+            float acc = 0.0f;
+            for (int j = 0; j < n; ++j) acc += grow[j] * wrow[j];
+            drow[p] += acc;
+        }
     }
 }
 
-// --- backend resolution ------------------------------------------------------
+// --- backend tables ----------------------------------------------------------
+
+/// ISA table: the AVX2+FMA translation unit when the host CPU has it, the
+/// baseline one otherwise. Depends only on CPUID.
+const Ops& pick_blocked() {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        return blocked_ops_avx2();
+#endif
+    return blocked_ops_generic();
+}
+
+/// The blocked table with its matmul family swapped for the ref loops; the
+/// backend-invariant entries stay shared.
+Ops with_ref_matmuls(const Ops& blocked) {
+    Ops t = blocked;
+    t.matmul = &matmul_ref_impl<false>;
+    t.matmul_acc = &matmul_ref_impl<true>;
+    t.matmul_tn = &matmul_tn_ref_impl<false>;
+    t.matmul_tn_acc = &matmul_tn_ref_impl<true>;
+    t.matmul_nt = &matmul_nt_ref_impl<false>;
+    t.matmul_nt_acc = &matmul_nt_ref_impl<true>;
+    t.gather_matmul = &gather_matmul_ref_impl;
+    t.gather_matmul_tn_acc = &gather_matmul_tn_acc_ref_impl;
+    t.scatter_matmul_nt_acc = &scatter_matmul_nt_acc_ref_impl;
+    return t;
+}
 
 Backend parse_backend(const std::string& name) {
     if (name == "ref") return Backend::Ref;
@@ -125,211 +156,133 @@ Backend parse_backend(const std::string& name) {
         "' (expected 'ref' or 'blocked')");
 }
 
-Backend& backend_slot() {
-    static Backend b =
-        parse_backend(util::env_string("POWERGEAR_KERNEL", "blocked"));
-    return b;
+/// Active table, null until the first kernel call resolves POWERGEAR_KERNEL
+/// or set_backend picks one. Every kernel call pays one atomic load and a
+/// null test — no function-local static guard on a path hit millions of
+/// times per epoch. Marking the resolver cold keeps it out of line, so
+/// active() inlines into each kernel as a load, a test and a jump.
+std::atomic<const Ops*> g_active{nullptr};
+
+[[gnu::cold]] const Ops& resolve_active() {
+    const Ops* want =
+        &ops(parse_backend(util::env_string("POWERGEAR_KERNEL", "blocked")));
+    const Ops* none = nullptr;
+    g_active.compare_exchange_strong(none, want); // a racing set_backend wins
+    return *g_active.load();
 }
 
-bool blocked() { return backend() == Backend::Blocked; }
-
-/// ISA table, picked once at load time: the AVX2+FMA translation unit when
-/// the host CPU has it, the baseline one otherwise. Selection depends only
-/// on CPUID, never on other static state, so a namespace-scope initializer
-/// is safe and keeps the per-call cost to one pointer load (no thread-safe
-/// static guard on a path hit millions of times per epoch).
-const BlockedOps& pick_ops() {
-#if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return blocked_ops_avx2();
-#endif
-    return blocked_ops_generic();
+const Ops& active() {
+    const Ops* t = g_active.load();
+    return t ? *t : resolve_active();
 }
-
-const BlockedOps& g_ops = pick_ops();
-
-const BlockedOps& ops() { return g_ops; }
 
 } // namespace
 
-Backend backend() { return backend_slot(); }
-void set_backend(Backend b) { backend_slot() = b; }
+const Ops& ops(Backend b) {
+    static const Ops& blocked = pick_blocked();
+    static const Ops ref = with_ref_matmuls(blocked);
+    return b == Backend::Ref ? ref : blocked;
+}
+
+Backend backend() {
+    return &active() == &ops(Backend::Ref) ? Backend::Ref : Backend::Blocked;
+}
+
+void set_backend(Backend b) {
+    g_active.store(&ops(b));
+}
 
 const char* backend_name(Backend b) {
     return b == Backend::Ref ? "ref" : "blocked";
 }
 
-// --- dispatched (overwrite) --------------------------------------------------
+// --- kernels: one call through the active table -----------------------------
 
 void matmul(int m, int k, int n, const float* a, const float* b, float* c) {
-    if (blocked()) ops().matmul(m, k, n, a, b, c);
-    else matmul_ref_impl<false>(m, k, n, a, b, c);
+    active().matmul(m, k, n, a, b, c);
 }
 
 void matmul_tn(int m, int k, int n, const float* a, const float* b, float* c) {
-    if (blocked()) ops().matmul_tn(m, k, n, a, b, c);
-    else matmul_tn_ref_impl<false>(m, k, n, a, b, c);
+    active().matmul_tn(m, k, n, a, b, c);
 }
 
 void matmul_nt(int m, int k, int n, const float* a, const float* b, float* c) {
-    if (blocked()) ops().matmul_nt(m, k, n, a, b, c);
-    else matmul_nt_ref_impl<false>(m, k, n, a, b, c);
+    active().matmul_nt(m, k, n, a, b, c);
 }
 
 void gather_matmul(int e, int k, int n, const float* x, const int* idx,
                    const float* w, float* out) {
-    if (blocked()) ops().gather_matmul(e, k, n, x, idx, w, out);
-    else gather_matmul_ref_impl<false>(e, k, n, x, idx, w, out);
+    active().gather_matmul(e, k, n, x, idx, w, out);
 }
 
-// --- dispatched (accumulate) -------------------------------------------------
-
 void matmul_acc(int m, int k, int n, const float* a, const float* b, float* c) {
-    if (blocked()) ops().matmul_acc(m, k, n, a, b, c);
-    else matmul_ref_impl<true>(m, k, n, a, b, c);
+    active().matmul_acc(m, k, n, a, b, c);
 }
 
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* b,
                    float* c) {
-    if (blocked()) ops().matmul_tn_acc(m, k, n, a, b, c);
-    else matmul_tn_ref_impl<true>(m, k, n, a, b, c);
+    active().matmul_tn_acc(m, k, n, a, b, c);
 }
 
 void matmul_nt_acc(int m, int k, int n, const float* a, const float* b,
                    float* c) {
-    if (blocked()) ops().matmul_nt_acc(m, k, n, a, b, c);
-    else matmul_nt_ref_impl<true>(m, k, n, a, b, c);
+    active().matmul_nt_acc(m, k, n, a, b, c);
 }
 
 void gather_matmul_tn_acc(int e, int k, int n, const float* x, const int* idx,
                           const float* g, float* dw) {
-    if (blocked()) {
-        ops().gather_matmul_tn_acc(e, k, n, x, idx, g, dw);
-    } else {
-        for (int r = 0; r < e; ++r) {
-            const float* xrow = x + row(idx[r], k);
-            const float* grow = g + row(r, n);
-            for (int p = 0; p < k; ++p) {
-                const float xv = xrow[p];
-                if (xv == 0.0f) continue;
-                float* dwrow = dw + row(p, n);
-                for (int j = 0; j < n; ++j) dwrow[j] += xv * grow[j];
-            }
-        }
-    }
+    active().gather_matmul_tn_acc(e, k, n, x, idx, g, dw);
 }
 
 void scatter_matmul_nt_acc(int e, int k, int n, const float* g, const float* w,
                            const int* idx, float* dx) {
-    if (blocked()) {
-        ops().scatter_matmul_nt_acc(e, k, n, g, w, idx, dx);
-    } else {
-        for (int r = 0; r < e; ++r) {
-            const float* grow = g + row(r, n);
-            float* drow = dx + row(idx[r], k);
-            for (int p = 0; p < k; ++p) {
-                const float* wrow = w + row(p, n);
-                float acc = 0.0f;
-                for (int j = 0; j < n; ++j) acc += grow[j] * wrow[j];
-                drow[p] += acc;
-            }
-        }
-    }
+    active().scatter_matmul_nt_acc(e, k, n, g, w, idx, dx);
 }
-
-// --- segmented reductions ----------------------------------------------------
 
 void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out) {
-    if (blocked()) ops().segment_sum(rows, cols, x, seg, num_segs, out);
-    else segment_sum_ref_impl(rows, cols, x, seg, num_segs, out);
+    active().segment_sum(rows, cols, x, seg, num_segs, out);
 }
 
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx) {
-    if (blocked()) ops().segment_sum_backward(rows, cols, g, seg, dx);
-    else segment_sum_backward_ref_impl(rows, cols, g, seg, dx);
+    active().segment_sum_backward(rows, cols, g, seg, dx);
 }
-
-// --- fixed-backend entry points ----------------------------------------------
-
-void matmul_ref(int m, int k, int n, const float* a, const float* b, float* c) {
-    matmul_ref_impl<false>(m, k, n, a, b, c);
-}
-void matmul_blocked(int m, int k, int n, const float* a, const float* b,
-                    float* c) {
-    ops().matmul(m, k, n, a, b, c);
-}
-void matmul_tn_ref(int m, int k, int n, const float* a, const float* b,
-                   float* c) {
-    matmul_tn_ref_impl<false>(m, k, n, a, b, c);
-}
-void matmul_tn_blocked(int m, int k, int n, const float* a, const float* b,
-                       float* c) {
-    ops().matmul_tn(m, k, n, a, b, c);
-}
-void matmul_nt_ref(int m, int k, int n, const float* a, const float* b,
-                   float* c) {
-    matmul_nt_ref_impl<false>(m, k, n, a, b, c);
-}
-void matmul_nt_blocked(int m, int k, int n, const float* a, const float* b,
-                       float* c) {
-    ops().matmul_nt(m, k, n, a, b, c);
-}
-void gather_matmul_ref(int e, int k, int n, const float* x, const int* idx,
-                       const float* w, float* out) {
-    gather_matmul_ref_impl<false>(e, k, n, x, idx, w, out);
-}
-void gather_matmul_blocked(int e, int k, int n, const float* x, const int* idx,
-                           const float* w, float* out) {
-    ops().gather_matmul(e, k, n, x, idx, w, out);
-}
-void segment_sum_ref(int rows, int cols, const float* x, const int* seg,
-                     int num_segs, float* out) {
-    segment_sum_ref_impl(rows, cols, x, seg, num_segs, out);
-}
-void segment_sum_blocked(int rows, int cols, const float* x, const int* seg,
-                         int num_segs, float* out) {
-    ops().segment_sum(rows, cols, x, seg, num_segs, out);
-}
-// --- fused elementwise epilogues ---------------------------------------------
-// Backend-independent in results (pure adds/compares, identical in every
-// translation unit); routed through the ISA table purely for vector width.
 
 void add_bias(int rows, int cols, const float* x, const float* bias,
               float* y) {
-    ops().add_bias(rows, cols, x, bias, y);
+    active().add_bias(rows, cols, x, bias, y);
 }
 
 void add_bias_backward(int rows, int cols, const float* g, float* dx,
                        float* dbias) {
-    ops().add_bias_backward(rows, cols, g, dx, dbias);
+    active().add_bias_backward(rows, cols, g, dx, dbias);
 }
 
 void add_bias_relu(int rows, int cols, const float* x, const float* bias,
                    float* y) {
-    ops().add_bias_relu(rows, cols, x, bias, y);
+    active().add_bias_relu(rows, cols, x, bias, y);
 }
 
 void add_bias_relu_backward(int rows, int cols, const float* y, const float* g,
                             float* dx, float* dbias) {
-    ops().add_bias_relu_backward(rows, cols, y, g, dx, dbias);
+    active().add_bias_relu_backward(rows, cols, y, g, dx, dbias);
 }
 
 void relu_forward(std::size_t n, const float* x, float* y) {
-    ops().relu_forward(n, x, y);
+    active().relu_forward(n, x, y);
 }
 
 void relu_backward(std::size_t n, const float* y, const float* g, float* dx) {
-    ops().relu_backward(n, y, g, dx);
+    active().relu_backward(n, y, g, dx);
 }
 
 void vadd(std::size_t n, const float* a, const float* b, float* out) {
-    ops().vadd(n, a, b, out);
+    active().vadd(n, a, b, out);
 }
 
 void vacc(std::size_t n, const float* src, float* dst) {
-    ops().vacc(n, src, dst);
+    active().vacc(n, src, dst);
 }
 
 } // namespace powergear::nn::kernels

@@ -1,29 +1,34 @@
 // Vectorized CPU kernels for the NN hot path.
 //
-// Two backends share one contract:
+// Each backend is one table of kernel function pointers (struct Ops):
 //
-//   ref      the original naive triple-loop kernels, kept verbatim as the
-//            always-available reference oracle (bit-identical to the
+//   ref      the original naive triple-loop matmul kernels, kept verbatim as
+//            the always-available reference oracle (bit-identical to the
 //            pre-kernel-layer implementation),
 //   blocked  cache/register-blocked variants with 16-wide inner loops over
 //            restrict-qualified row pointers, written so -O3 auto-vectorizes
 //            them without -ffast-math.
 //
-// Dispatch is per-process via POWERGEAR_KERNEL=ref|blocked (default blocked)
-// or set_backend(). Within a backend every kernel uses a *fixed* float
-// reduction order — plain loops, no threading, no data-dependent
-// reassociation — so results are bit-identical at any POWERGEAR_JOBS value
-// (the kernels never touch the thread pool; parallelism stays one level up,
-// across tape-owning tasks). Across backends the summation order differs by
-// design; ref and blocked agree within 1e-5 relative error (DESIGN.md §10),
-// which tests/test_kernels_cpu.cpp locks in over randomized shapes.
+// One table is active per process, chosen from POWERGEAR_KERNEL=ref|blocked
+// (default blocked) on first use or by set_backend(); every public kernel
+// below is one call through it, and ops(Backend) hands out either table to
+// code that pins a backend (parity tests, oracle benchmarks). Within a
+// backend every kernel uses a *fixed* float reduction order — plain loops,
+// no threading, no data-dependent reassociation — so results are
+// bit-identical at any POWERGEAR_JOBS value (the kernels never touch the
+// thread pool; parallelism stays one level up, across tape-owning tasks).
+// Across backends the matmul summation order differs by design; ref and
+// blocked agree within 1e-5 relative error (DESIGN.md §10), which
+// tests/test_kernels_cpu.cpp locks in over randomized shapes.
 //
-// The blocked backend is additionally ISA-dispatched: the same source
+// The blocked table is additionally ISA-dispatched: the same source
 // (kernels_cpu_tiles.inl) is compiled once at the baseline ISA and once with
 // AVX2+FMA, and the faster table is selected at startup when the host CPU
 // supports it (see kernels_cpu_isa.hpp). FMA contraction means blocked
-// results may differ *across hosts* within the same 1e-5 envelope; the ref
-// oracle is compiled at the baseline ISA only and is host-invariant.
+// results may differ *across hosts* within the same 1e-5 envelope. The ref
+// table is that same table with its nine matmul-family entries replaced by
+// the ref loops, which are compiled at the baseline ISA only and are
+// host-invariant.
 //
 // Shape conventions (row-major, row stride == column count):
 //   matmul      c(m,n)  = a(m,k) · b(k,n)
@@ -33,7 +38,9 @@
 //
 // The *_acc variants accumulate (c += ...) for gradient accumulation; the
 // plain variants overwrite. The fused epilogues (add_bias_relu,
-// relu_forward/backward, vadd/vacc) are elementwise and backend-independent.
+// relu_forward/backward, vadd/vacc) and the segmented sums are pure adds,
+// compares and copies, so their results are backend-invariant: both tables
+// share those entries.
 #pragma once
 
 #include <cstddef>
@@ -44,15 +51,59 @@ enum class Backend { Ref, Blocked };
 
 /// Active backend. Resolved once from POWERGEAR_KERNEL (ref|blocked,
 /// default blocked; anything else throws std::invalid_argument) unless
-/// set_backend overrode it first.
+/// set_backend chose one first.
 Backend backend();
 
-/// Override the backend at runtime (tests, benchmarks). Takes effect for
-/// every subsequent dispatched kernel call.
+/// Make b's table the active one (tests, benchmarks). Takes effect for
+/// every subsequent kernel call.
 void set_backend(Backend b);
 
 /// "ref" or "blocked".
 const char* backend_name(Backend b);
+
+/// One backend's kernels. Entries carry the contracts of the same-named
+/// functions below.
+struct Ops {
+    void (*matmul)(int m, int k, int n, const float* a, const float* b,
+                   float* c);
+    void (*matmul_acc)(int m, int k, int n, const float* a, const float* b,
+                       float* c);
+    void (*matmul_tn)(int m, int k, int n, const float* a, const float* b,
+                      float* c);
+    void (*matmul_tn_acc)(int m, int k, int n, const float* a, const float* b,
+                          float* c);
+    void (*matmul_nt)(int m, int k, int n, const float* a, const float* b,
+                      float* c);
+    void (*matmul_nt_acc)(int m, int k, int n, const float* a, const float* b,
+                          float* c);
+    void (*gather_matmul)(int e, int k, int n, const float* x, const int* idx,
+                          const float* w, float* out);
+    void (*gather_matmul_tn_acc)(int e, int k, int n, const float* x,
+                                 const int* idx, const float* g, float* dw);
+    void (*scatter_matmul_nt_acc)(int e, int k, int n, const float* g,
+                                  const float* w, const int* idx, float* dx);
+    // Backend-invariant entries, shared by both tables.
+    void (*add_bias)(int rows, int cols, const float* x, const float* bias,
+                     float* y);
+    void (*add_bias_backward)(int rows, int cols, const float* g, float* dx,
+                              float* dbias);
+    void (*add_bias_relu)(int rows, int cols, const float* x,
+                          const float* bias, float* y);
+    void (*add_bias_relu_backward)(int rows, int cols, const float* y,
+                                   const float* g, float* dx, float* dbias);
+    void (*relu_forward)(std::size_t n, const float* x, float* y);
+    void (*relu_backward)(std::size_t n, const float* y, const float* g,
+                          float* dx);
+    void (*vadd)(std::size_t n, const float* a, const float* b, float* out);
+    void (*vacc)(std::size_t n, const float* src, float* dst);
+    void (*segment_sum)(int rows, int cols, const float* x, const int* seg,
+                        int num_segs, float* out);
+    void (*segment_sum_backward)(int rows, int cols, const float* g,
+                                 const int* seg, float* dx);
+};
+
+/// The table of backend b, whichever backend is active.
+const Ops& ops(Backend b);
 
 // --- dispatched kernels (overwrite) -----------------------------------------
 void matmul(int m, int k, int n, const float* a, const float* b, float* c);
@@ -74,41 +125,18 @@ void gather_matmul_tn_acc(int e, int k, int n, const float* x, const int* idx,
 void scatter_matmul_nt_acc(int e, int k, int n, const float* g, const float* w,
                            const int* idx, float* dx);
 
-// --- fixed-backend entry points (parity tests, oracle benchmarks) ------------
-void matmul_ref(int m, int k, int n, const float* a, const float* b, float* c);
-void matmul_blocked(int m, int k, int n, const float* a, const float* b,
-                    float* c);
-void matmul_tn_ref(int m, int k, int n, const float* a, const float* b,
-                   float* c);
-void matmul_tn_blocked(int m, int k, int n, const float* a, const float* b,
-                       float* c);
-void matmul_nt_ref(int m, int k, int n, const float* a, const float* b,
-                   float* c);
-void matmul_nt_blocked(int m, int k, int n, const float* a, const float* b,
-                       float* c);
-void gather_matmul_ref(int e, int k, int n, const float* x, const int* idx,
-                       const float* w, float* out);
-void gather_matmul_blocked(int e, int k, int n, const float* x, const int* idx,
-                           const float* w, float* out);
-
 // --- segmented reductions (batched multi-graph readout) ----------------------
 // out(num_segs, cols) with out[s] = Σ of the x rows whose seg id is s.
 // seg must hold values in [0, num_segs); rows are reduced in ascending row
 // order, so a single-segment segment_sum is bit-identical to summing rows
 // with vacc. Both kernels are pure adds, so like vadd/vacc they are
-// backend- and ISA-invariant in results.
+// backend- and ISA-invariant: one implementation serves both tables.
 /// out[s][c] = Σ_{r : seg[r]==s} x[r][c] (overwrite; ascending r).
 void segment_sum(int rows, int cols, const float* x, const int* seg,
                  int num_segs, float* out);
 /// dx[r] += g[seg[r]]  (backward of segment_sum).
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
-
-// --- fixed-backend segmented entry points (parity tests) ---------------------
-void segment_sum_ref(int rows, int cols, const float* x, const int* seg,
-                     int num_segs, float* out);
-void segment_sum_blocked(int rows, int cols, const float* x, const int* seg,
-                         int num_segs, float* out);
 
 // --- fused elementwise epilogues (backend-independent) ------------------------
 /// y(rows,cols) = x + bias with bias(1,cols) broadcast over rows.

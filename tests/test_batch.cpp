@@ -47,7 +47,7 @@ graphgen::Graph random_graph(Rng& rng) {
         g.x[static_cast<std::size_t>(v * g.node_dim + v % 4)] = 1.0f;
         g.x[static_cast<std::size_t>((v + 1) * g.node_dim - 1)] =
             rng.next_float(0.0f, 2.0f);
-        g.labels.push_back("n" + std::to_string(v));
+        g.labels.push_back(std::to_string(v).insert(0, 1, 'n'));
     }
     const int edges = 1 + static_cast<int>(rng.next_double() * 3 * g.num_nodes);
     for (int e = 0; e < edges; ++e) {

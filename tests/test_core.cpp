@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
@@ -129,11 +131,31 @@ TEST(PowerGearOptions, EveryApiRuleFiresOnASeededViolation) {
         EXPECT_TRUE(o.validate().has("API003"));
         o.dropout = 1.0f;
         EXPECT_TRUE(o.validate().has("API003"));
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()}) {
+            o.dropout = bad;
+            const auto report = o.validate();
+            EXPECT_TRUE(report.has("API003")) << bad;
+            EXPECT_NE(report.render_text().find(std::to_string(bad)),
+                      std::string::npos)
+                << report.render_text();
+        }
     }
     {
         PowerGear::Options o;
         o.learning_rate = 0.0;
         EXPECT_TRUE(o.validate().has("API004"));
+        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+            o.learning_rate = bad;
+            const auto report = o.validate();
+            EXPECT_TRUE(report.has("API004")) << bad;
+            EXPECT_NE(report.render_text().find(std::to_string(bad)),
+                      std::string::npos)
+                << report.render_text();
+        }
     }
     {
         PowerGear::Options o;

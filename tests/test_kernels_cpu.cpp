@@ -59,6 +59,9 @@ void expect_close(const std::vector<float>& ref, const std::vector<float>& got,
     }
 }
 
+const Ops& ref_ops() { return ops(Backend::Ref); }
+const Ops& blk_ops() { return ops(Backend::Blocked); }
+
 struct Shape {
     int m, k, n;
 };
@@ -94,15 +97,29 @@ TEST(KernelsCpu, DispatchMatchesFixedEntryPointsBitExactly) {
     std::vector<float> via_dispatch(static_cast<std::size_t>(m) * n);
     std::vector<float> via_fixed(static_cast<std::size_t>(m) * n);
 
-    set_backend(Backend::Blocked);
-    matmul(m, k, n, a.data(), b.data(), via_dispatch.data());
-    matmul_blocked(m, k, n, a.data(), b.data(), via_fixed.data());
-    EXPECT_EQ(via_dispatch, via_fixed);
-
-    set_backend(Backend::Ref);
-    matmul(m, k, n, a.data(), b.data(), via_dispatch.data());
-    matmul_ref(m, k, n, a.data(), b.data(), via_fixed.data());
-    EXPECT_EQ(via_dispatch, via_fixed);
+    for (Backend be : {Backend::Blocked, Backend::Ref}) {
+        SCOPED_TRACE(backend_name(be));
+        set_backend(be);
+        EXPECT_EQ(backend(), be);
+        matmul(m, k, n, a.data(), b.data(), via_dispatch.data());
+        ops(be).matmul(m, k, n, a.data(), b.data(), via_fixed.data());
+        EXPECT_EQ(via_dispatch, via_fixed);
+    }
+    // The ref table swaps the whole matmul family (else the parity tests
+    // below would compare a kernel with itself) and shares the rest.
+    const Ops& r = ref_ops();
+    const Ops& bl = blk_ops();
+    EXPECT_NE(r.matmul, bl.matmul);
+    EXPECT_NE(r.matmul_acc, bl.matmul_acc);
+    EXPECT_NE(r.matmul_tn, bl.matmul_tn);
+    EXPECT_NE(r.matmul_tn_acc, bl.matmul_tn_acc);
+    EXPECT_NE(r.matmul_nt, bl.matmul_nt);
+    EXPECT_NE(r.matmul_nt_acc, bl.matmul_nt_acc);
+    EXPECT_NE(r.gather_matmul, bl.gather_matmul);
+    EXPECT_NE(r.gather_matmul_tn_acc, bl.gather_matmul_tn_acc);
+    EXPECT_NE(r.scatter_matmul_nt_acc, bl.scatter_matmul_nt_acc);
+    EXPECT_EQ(r.vacc, bl.vacc);
+    EXPECT_EQ(r.segment_sum, bl.segment_sum);
 }
 
 TEST(KernelsCpu, MatmulParityOverRandomShapes) {
@@ -112,8 +129,8 @@ TEST(KernelsCpu, MatmulParityOverRandomShapes) {
         const auto b = random_values(rng, static_cast<std::size_t>(s.k) * s.n);
         std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n, 7.0f);
         std::vector<float> blk(ref.size(), -7.0f); // poisoned: must overwrite
-        matmul_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
+        ref_ops().matmul(s.m, s.k, s.n, a.data(), b.data(), ref.data());
+        blk_ops().matmul(s.m, s.k, s.n, a.data(), b.data(), blk.data());
         expect_close(ref, blk, "matmul", s.m, s.k, s.n);
     }
 }
@@ -125,8 +142,8 @@ TEST(KernelsCpu, MatmulTnParityOverRandomShapes) {
         const auto b = random_values(rng, static_cast<std::size_t>(s.m) * s.n);
         std::vector<float> ref(static_cast<std::size_t>(s.k) * s.n, 7.0f);
         std::vector<float> blk(ref.size(), -7.0f);
-        matmul_tn_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_tn_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
+        ref_ops().matmul_tn(s.m, s.k, s.n, a.data(), b.data(), ref.data());
+        blk_ops().matmul_tn(s.m, s.k, s.n, a.data(), b.data(), blk.data());
         expect_close(ref, blk, "matmul_tn", s.m, s.k, s.n);
     }
 }
@@ -138,8 +155,8 @@ TEST(KernelsCpu, MatmulNtParityOverRandomShapes) {
         const auto b = random_values(rng, static_cast<std::size_t>(s.n) * s.k);
         std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n, 7.0f);
         std::vector<float> blk(ref.size(), -7.0f);
-        matmul_nt_ref(s.m, s.k, s.n, a.data(), b.data(), ref.data());
-        matmul_nt_blocked(s.m, s.k, s.n, a.data(), b.data(), blk.data());
+        ref_ops().matmul_nt(s.m, s.k, s.n, a.data(), b.data(), ref.data());
+        blk_ops().matmul_nt(s.m, s.k, s.n, a.data(), b.data(), blk.data());
         expect_close(ref, blk, "matmul_nt", s.m, s.k, s.n);
     }
 }
@@ -155,10 +172,10 @@ TEST(KernelsCpu, GatherMatmulParityOverRandomShapes) {
         const auto idx = random_indices(rng, static_cast<std::size_t>(e), rows);
         std::vector<float> ref(static_cast<std::size_t>(e) * s.n, 7.0f);
         std::vector<float> blk(ref.size(), -7.0f);
-        gather_matmul_ref(e, s.k, s.n, x.data(), idx.data(), w.data(),
-                          ref.data());
-        gather_matmul_blocked(e, s.k, s.n, x.data(), idx.data(), w.data(),
-                              blk.data());
+        ref_ops().gather_matmul(e, s.k, s.n, x.data(), idx.data(), w.data(),
+                                ref.data());
+        blk_ops().gather_matmul(e, s.k, s.n, x.data(), idx.data(), w.data(),
+                                blk.data());
         expect_close(ref, blk, "gather_matmul", e, s.k, s.n);
     }
 }
@@ -291,24 +308,24 @@ TEST(KernelsCpu, SparseOperandParityAtTrainingShapes) {
             const auto idx =
                 random_indices(rng, static_cast<std::size_t>(m), m);
 
-            // Overwrite variants through the fixed entry points.
+            // Overwrite variants through each backend's table.
             const std::size_t mn = static_cast<std::size_t>(m) * n;
             const std::size_t kn = static_cast<std::size_t>(k) * n;
             std::vector<float> ref(mn, 7.0f), blk(mn, -7.0f);
-            matmul_ref(m, k, n, a.data(), w.data(), ref.data());
-            matmul_blocked(m, k, n, a.data(), w.data(), blk.data());
+            ref_ops().matmul(m, k, n, a.data(), w.data(), ref.data());
+            blk_ops().matmul(m, k, n, a.data(), w.data(), blk.data());
             expect_close(ref, blk, "matmul", m, k, n);
-            matmul_nt_ref(m, k, n, gk.data(), wt.data(), ref.data());
-            matmul_nt_blocked(m, k, n, gk.data(), wt.data(), blk.data());
+            ref_ops().matmul_nt(m, k, n, gk.data(), wt.data(), ref.data());
+            blk_ops().matmul_nt(m, k, n, gk.data(), wt.data(), blk.data());
             expect_close(ref, blk, "matmul_nt", m, k, n);
-            gather_matmul_ref(m, k, n, a.data(), idx.data(), w.data(),
-                              ref.data());
-            gather_matmul_blocked(m, k, n, a.data(), idx.data(), w.data(),
-                                  blk.data());
+            ref_ops().gather_matmul(m, k, n, a.data(), idx.data(), w.data(),
+                                    ref.data());
+            blk_ops().gather_matmul(m, k, n, a.data(), idx.data(), w.data(),
+                                    blk.data());
             expect_close(ref, blk, "gather_matmul", m, k, n);
             std::vector<float> ref_tn(kn, 7.0f), blk_tn(kn, -7.0f);
-            matmul_tn_ref(m, k, n, a.data(), g.data(), ref_tn.data());
-            matmul_tn_blocked(m, k, n, a.data(), g.data(), blk_tn.data());
+            ref_ops().matmul_tn(m, k, n, a.data(), g.data(), ref_tn.data());
+            blk_ops().matmul_tn(m, k, n, a.data(), g.data(), blk_tn.data());
             expect_close(ref_tn, blk_tn, "matmul_tn", m, k, n);
 
             // Accumulate variants through dispatch, onto a nonzero start.
@@ -411,15 +428,27 @@ TEST(KernelsCpu, SegmentSumMatchesHandComputedOracle) {
                                   10, 20, 30};
     const std::vector<int> seg = {0, 1, 0, 1, 0};
     std::vector<float> sum(9, 99.0f);   // poisoned: must overwrite
-    segment_sum_ref(5, 3, x.data(), seg.data(), 3, sum.data());
+    segment_sum(5, 3, x.data(), seg.data(), 3, sum.data());
     const std::vector<float> want_sum = {18, 30, 42, 3, 3, 3, 0, 0, 0};
     EXPECT_EQ(sum, want_sum);
 }
 
-// segment_sum is pure adds, so ref and blocked (and both ISA
-// legs of blocked) must agree bit-for-bit — not just within 1e-5. Shapes
-// include rows=0, cols=0, single segment, and all-empty segments.
+// segment_sum is pure adds, so under either backend (and on either ISA
+// leg) it must equal the plain ascending-row loop bit-for-bit — not just
+// within 1e-5. Shapes include rows=0, cols=0, single segment, and
+// all-empty segments.
 TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
+    BackendGuard guard;
+    auto oracle = [](int rows, int cols, const float* x, const int* seg,
+                     int num_segs) {
+        std::vector<float> out(static_cast<std::size_t>(num_segs) * cols,
+                               0.0f);
+        for (int r = 0; r < rows; ++r)
+            for (int c = 0; c < cols; ++c)
+                out[static_cast<std::size_t>(seg[r]) * cols + c] +=
+                    x[static_cast<std::size_t>(r) * cols + c];
+        return out;
+    };
     Rng rng(67);
     for (const Shape& s : parity_shapes()) {
         const int rows = s.m, cols = s.k;
@@ -427,13 +456,16 @@ TEST(KernelsCpu, SegmentForwardParityIsBitExactOverRandomShapes) {
         const auto x =
             random_values(rng, static_cast<std::size_t>(rows) * cols);
         const auto seg = random_segments(rng, rows, num_segs);
-        const std::size_t out_n = static_cast<std::size_t>(num_segs) * cols;
-        std::vector<float> ref(out_n, 7.0f), blk(out_n, -7.0f);
-        segment_sum_ref(rows, cols, x.data(), seg.data(), num_segs, ref.data());
-        segment_sum_blocked(rows, cols, x.data(), seg.data(), num_segs,
-                            blk.data());
-        EXPECT_EQ(ref, blk) << "segment_sum rows=" << rows << " cols=" << cols
-                            << " segs=" << num_segs;
+        const auto want = oracle(rows, cols, x.data(), seg.data(), num_segs);
+        for (Backend be : {Backend::Ref, Backend::Blocked}) {
+            set_backend(be);
+            std::vector<float> got(want.size(), -7.0f); // must overwrite
+            segment_sum(rows, cols, x.data(), seg.data(), num_segs,
+                        got.data());
+            EXPECT_EQ(got, want)
+                << backend_name(be) << " segment_sum rows=" << rows
+                << " cols=" << cols << " segs=" << num_segs;
+        }
     }
 }
 

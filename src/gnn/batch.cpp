@@ -1,22 +1,33 @@
 #include "gnn/batch.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace powergear::gnn {
 
 namespace {
 
-/// Append src's rows to dst starting at row_offset (dst preallocated).
-void copy_rows(nn::Tensor& dst, const nn::Tensor& src, int row_offset) {
-    if (src.empty()) return;
-    std::memcpy(dst.row(row_offset), src.data(), src.size() * sizeof(float));
+/// The graphs' `field` tensors stacked row-wise into one (rows, cols)
+/// tensor. Each value is written once: the storage is reserved and
+/// appended to, never zero-filled first.
+template <typename Field>
+nn::Tensor stack_rows(std::span<const GraphTensors* const> graphs, int rows,
+                      int cols, Field field) {
+    std::vector<float> v;
+    v.reserve(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
+    for (const GraphTensors* g : graphs) {
+        const nn::Tensor& t = field(*g);
+        v.insert(v.end(), t.data(), t.data() + t.size());
+    }
+    return nn::Tensor::from(rows, cols, std::move(v));
 }
 
-/// Append idx + offset to out.
+/// Append idx + offset to out: one bulk copy, then a vectorizable add
+/// over the appended range (out's capacity is reserved up front).
 void append_offset(std::vector<int>& out, const std::vector<int>& idx,
                    int offset) {
-    for (const int v : idx) out.push_back(v + offset);
+    const std::size_t at = out.size();
+    out.insert(out.end(), idx.begin(), idx.end());
+    for (std::size_t i = at; i < out.size(); ++i) out[i] += offset;
 }
 
 } // namespace
@@ -52,12 +63,25 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
 
     GraphTensors& m = b.g;
     m.num_nodes = total_nodes;
-    m.x = nn::Tensor(total_nodes, node_dim);
-    m.metadata = nn::Tensor(b.num_graphs, meta_dim);
-    m.edge_feat = nn::Tensor(total_edges, graphgen::Graph::kEdgeDim);
-    for (std::size_t rel = 0; rel < rel_edges.size(); ++rel)
-        m.rel_edge_feat[rel] =
-            nn::Tensor(rel_edges[rel], graphgen::Graph::kEdgeDim);
+    constexpr int kEdgeDim = graphgen::Graph::kEdgeDim;
+    m.x = stack_rows(
+        graphs, total_nodes, node_dim,
+        [](const GraphTensors& g) -> const nn::Tensor& { return g.x; });
+    m.metadata = stack_rows(
+        graphs, b.num_graphs, meta_dim,
+        [](const GraphTensors& g) -> const nn::Tensor& { return g.metadata; });
+    m.edge_feat = stack_rows(
+        graphs, total_edges, kEdgeDim,
+        [](const GraphTensors& g) -> const nn::Tensor& { return g.edge_feat; });
+    for (std::size_t rel = 0; rel < rel_edges.size(); ++rel) {
+        m.rel_edge_feat[rel] = stack_rows(
+            graphs, rel_edges[rel], kEdgeDim,
+            [rel](const GraphTensors& g) -> const nn::Tensor& {
+                return g.rel_edge_feat[rel];
+            });
+        m.rel_src[rel].reserve(static_cast<std::size_t>(rel_edges[rel]));
+        m.rel_dst[rel].reserve(static_cast<std::size_t>(rel_edges[rel]));
+    }
     m.src.reserve(static_cast<std::size_t>(total_edges));
     m.dst.reserve(static_cast<std::size_t>(total_edges));
     m.gcn_src.reserve(static_cast<std::size_t>(total_gcn));
@@ -66,26 +90,18 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
     m.inv_in_degree.reserve(static_cast<std::size_t>(total_nodes));
 
     int offset = 0;
-    std::array<int, graphgen::Graph::kNumRelations> rel_at{};
-    int edge_at = 0;
     for (int gi = 0; gi < b.num_graphs; ++gi) {
         const GraphTensors& g = *graphs[static_cast<std::size_t>(gi)];
         b.node_offset.push_back(offset);
-        for (int v = 0; v < g.num_nodes; ++v) b.graph_id.push_back(gi);
+        b.graph_id.insert(b.graph_id.end(),
+                          static_cast<std::size_t>(g.num_nodes), gi);
 
-        copy_rows(m.x, g.x, offset);
-        copy_rows(m.metadata, g.metadata, gi);
-
-        for (std::size_t rel = 0; rel < rel_at.size(); ++rel) {
+        for (std::size_t rel = 0; rel < m.rel_src.size(); ++rel) {
             append_offset(m.rel_src[rel], g.rel_src[rel], offset);
             append_offset(m.rel_dst[rel], g.rel_dst[rel], offset);
-            copy_rows(m.rel_edge_feat[rel], g.rel_edge_feat[rel], rel_at[rel]);
-            rel_at[rel] += g.rel_edge_feat[rel].rows();
         }
         append_offset(m.src, g.src, offset);
         append_offset(m.dst, g.dst, offset);
-        copy_rows(m.edge_feat, g.edge_feat, edge_at);
-        edge_at += g.edge_feat.rows();
 
         append_offset(m.gcn_src, g.gcn_src, offset);
         append_offset(m.gcn_dst, g.gcn_dst, offset);

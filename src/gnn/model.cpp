@@ -138,34 +138,50 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
          start += static_cast<std::size_t>(batch_size)) {
         const std::size_t end =
             std::min(order.size(), start + static_cast<std::size_t>(batch_size));
-        t.reset();
-        std::vector<float> ys;
-        ys.reserve(end - start);
-        for (std::size_t i = start; i < end; ++i)
-            ys.push_back(targets[static_cast<std::size_t>(order[i])]);
+        // One training step is four phases: assemble, forward, backward and
+        // optimizer, which together cover the whole step in train --metrics.
         // The minibatch is assembled block-diagonally and runs as one fused
         // forward; the batch must stay alive through backward() (the tape
         // borrows its node features and graph ids).
-        std::vector<const GraphTensors*> members;
-        members.reserve(end - start);
-        for (std::size_t i = start; i < end; ++i)
-            members.push_back(graphs[static_cast<std::size_t>(order[i])]);
-        const GraphBatch batch = GraphBatch::assemble(members);
-        const int loss =
-            t.mape_loss_rows(forward(t, batch, true), ys);
-        adam_->zero_grad();
+        std::vector<float> ys;
+        GraphBatch batch;
+        {
+            const obs::Scope obs_scope(obs::Phase::Assemble);
+            t.reset();
+            ys.reserve(end - start);
+            std::vector<const GraphTensors*> members;
+            members.reserve(end - start);
+            for (std::size_t i = start; i < end; ++i) {
+                const std::size_t k = static_cast<std::size_t>(order[i]);
+                ys.push_back(targets[k]);
+                members.push_back(graphs[k]);
+            }
+            batch = GraphBatch::assemble(members);
+            obs::add(obs::Phase::Assemble, "graphs", end - start);
+        }
+        int loss = -1;
+        {
+            const obs::Scope obs_scope(obs::Phase::Forward);
+            loss = t.mape_loss_rows(forward(t, batch, true), ys);
+        }
         {
             const obs::Scope obs_scope(obs::Phase::Backward);
+            adam_->zero_grad();
             const std::size_t skipped = t.backward(loss);
             obs::add(obs::Phase::Backward, "nodes", t.num_nodes());
             obs::add(obs::Phase::Backward, "nodes_skipped", skipped);
         }
-        // Catch exploding/NaN gradients before the optimizer folds them into
-        // the weights, where they would quietly poison every later estimate.
-        if (analysis::checks_enabled())
-            analysis::require_clean(analysis::check_params(params()),
-                                    "PowerModel::train_epoch");
-        adam_->step();
+        {
+            const obs::Scope obs_scope(obs::Phase::Optimizer);
+            // Catch exploding/NaN gradients before the optimizer folds them
+            // into the weights, where they would quietly poison every later
+            // estimate.
+            if (analysis::checks_enabled())
+                analysis::require_clean(analysis::check_params(params()),
+                                        "PowerModel::train_epoch");
+            adam_->step();
+            obs::add(obs::Phase::Optimizer, "steps");
+        }
         loss_sum += t.value(loss).at(0, 0);
         ++batches;
     }

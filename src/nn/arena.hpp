@@ -4,9 +4,12 @@
 // gradient buffers, dropout masks) is carved out of it instead of being a
 // per-op std::vector<float> allocation. reset() rewinds the cursor between
 // minibatches — after the first batch has grown the arena to its high-water
-// mark, later batches allocate nothing. Not thread-safe by design: a tape
-// (and hence its arena) is owned by exactly one task at a time (the per-task
-// ownership model from DESIGN.md §7).
+// mark, later batches allocate nothing. alloc() zeroes its block, for
+// buffers that are only accumulated into (scatter outputs, gradients);
+// alloc_uninit() skips the memset, for outputs whose kernel writes every
+// element. Not thread-safe by design: a tape (and hence its arena) is owned
+// by exactly one task at a time (the per-task ownership model from
+// DESIGN.md §7).
 #pragma once
 
 #include <algorithm>
@@ -23,6 +26,15 @@ public:
     /// Pointers handed out earlier stay valid while the arena grows (growth
     /// appends a block; it never moves existing ones).
     float* alloc(std::size_t n) {
+        float* p = alloc_uninit(n);
+        if (n != 0) std::memset(p, 0, n * sizeof(float));
+        return p;
+    }
+
+    /// Like alloc(), but the block holds whatever an earlier batch left
+    /// there (or indeterminate values): the caller must write every element
+    /// before anything reads it.
+    float* alloc_uninit(std::size_t n) {
         if (n == 0) {
             // Callers never dereference a zero-size allocation; hand back a
             // stable dummy so Tensor::data() stays non-null.
@@ -32,7 +44,6 @@ public:
         if (blocks_.empty() || used_ + n > blocks_.back().cap) grow(n);
         float* p = blocks_.back().data.get() + used_;
         used_ += n;
-        std::memset(p, 0, n * sizeof(float));
         return p;
     }
 

@@ -144,15 +144,36 @@ private:
              std::function<void(Tape&, int)> backprop);
     /// Append a leaf; only param leaves require a gradient.
     int push_leaf(Tensor val, Param* external);
-    /// Arena-backed zeroed (rows, cols) view.
+    /// Arena-backed zeroed (rows, cols) view, for outputs that are only
+    /// accumulated into (scatter sums, gradient buffers).
     Tensor make(int rows, int cols);
+    /// Arena-backed (rows, cols) view left unwritten, for outputs whose
+    /// kernel writes every element before anything reads them.
+    Tensor make_uninit(int rows, int cols);
+    /// A backward writer's target. `init` means the buffer was just
+    /// allocated unwritten: the writer must store exactly what accumulating
+    /// into +0.0f would (an *_init or overwriting kernel, or 0.0f + v).
+    struct GradOut {
+        float* data = nullptr; ///< null when the node requires no gradient
+        bool init = false;
+    };
+
+    /// The node's gradient buffer, zeroed on first use: for writers that
+    /// touch only some elements (scatters) or accumulate many terms.
     Tensor& grad_buf(int node);
-    /// The node's gradient buffer (allocated on first use), or nullptr when
-    /// the node requires no gradient — backward closures skip such parents.
+    /// grad_buf, or nullptr when the node requires no gradient — backward
+    /// closures skip such parents.
     Tensor* grad_sink(int node);
-    /// grad_sink's data, or throwaway arena space of the node's size: the
-    /// fused bias kernels write both parents' gradients in one pass.
+    /// grad_sink's data, or zeroed throwaway arena space of the node's size:
+    /// the fused bias kernels write both parents' gradients in one pass.
     float* grad_or_scratch(int node);
+    /// The gradient buffer for a writer that sets every element: allocated
+    /// unzeroed on first use (init), else the existing buffer to add into.
+    /// data is null when the node requires no gradient.
+    GradOut grad_cover(int node);
+    /// grad_cover, or unzeroed throwaway space (init) when the node requires
+    /// no gradient.
+    GradOut grad_cover_or_scratch(int node);
 
     int scale_rows_impl(int x, std::span<const float> weights,
                         std::shared_ptr<const void> keep);

@@ -249,6 +249,30 @@ void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
     active().segment_sum_backward(rows, cols, g, seg, dx);
 }
 
+void gather_rows(int e, int cols, const float* x, const int* idx, float* out) {
+    active().gather_rows(e, cols, x, idx, out);
+}
+
+void gather_rows_acc(int e, int cols, const float* x, const int* idx,
+                     float* out) {
+    active().gather_rows_acc(e, cols, x, idx, out);
+}
+
+void scatter_rows_acc(int e, int cols, const float* x, const int* idx,
+                      float* out) {
+    active().scatter_rows_acc(e, cols, x, idx, out);
+}
+
+void copy_block(int rows, int cols, const float* src, int src_ld, float* dst,
+                int dst_ld) {
+    active().copy_block(rows, cols, src, src_ld, dst, dst_ld);
+}
+
+void acc_block(int rows, int cols, const float* src, int src_ld, float* dst,
+               int dst_ld) {
+    active().acc_block(rows, cols, src, src_ld, dst, dst_ld);
+}
+
 void add_bias(int rows, int cols, const float* x, const float* bias,
               float* y) {
     active().add_bias(rows, cols, x, bias, y);
@@ -283,6 +307,35 @@ void vadd(std::size_t n, const float* a, const float* b, float* out) {
 
 void vacc(std::size_t n, const float* src, float* dst) {
     active().vacc(n, src, dst);
+}
+
+void add_bias_backward_init(int rows, int cols, const float* g, float* dx,
+                            float* dbias) {
+    active().add_bias_backward_init(rows, cols, g, dx, dbias);
+}
+
+void add_bias_relu_backward_init(int rows, int cols, const float* y,
+                                 const float* g, float* dx, float* dbias) {
+    active().add_bias_relu_backward_init(rows, cols, y, g, dx, dbias);
+}
+
+void relu_backward_init(std::size_t n, const float* y, const float* g,
+                        float* dx) {
+    active().relu_backward_init(n, y, g, dx);
+}
+
+void vacc_init(std::size_t n, const float* src, float* dst) {
+    active().vacc_init(n, src, dst);
+}
+
+void segment_sum_backward_init(int rows, int cols, const float* g,
+                               const int* seg, float* dx) {
+    active().segment_sum_backward_init(rows, cols, g, seg, dx);
+}
+
+void gather_rows_acc_init(int e, int cols, const float* x, const int* idx,
+                          float* out) {
+    active().gather_rows_acc_init(e, cols, x, idx, out);
 }
 
 } // namespace powergear::nn::kernels

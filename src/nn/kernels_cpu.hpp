@@ -38,9 +38,9 @@
 //
 // The *_acc variants accumulate (c += ...) for gradient accumulation; the
 // plain variants overwrite. The fused epilogues (add_bias_relu,
-// relu_forward/backward, vadd/vacc) and the segmented sums are pure adds,
-// compares and copies, so their results are backend-invariant: both tables
-// share those entries.
+// relu_forward/backward, vadd/vacc), the segmented sums and the row movers
+// are pure adds, compares and copies, so their results are
+// backend-invariant: both tables share those entries.
 #pragma once
 
 #include <cstddef>
@@ -87,19 +87,41 @@ struct Ops {
                      float* y);
     void (*add_bias_backward)(int rows, int cols, const float* g, float* dx,
                               float* dbias);
+    void (*add_bias_backward_init)(int rows, int cols, const float* g,
+                                   float* dx, float* dbias);
     void (*add_bias_relu)(int rows, int cols, const float* x,
                           const float* bias, float* y);
     void (*add_bias_relu_backward)(int rows, int cols, const float* y,
                                    const float* g, float* dx, float* dbias);
+    void (*add_bias_relu_backward_init)(int rows, int cols, const float* y,
+                                        const float* g, float* dx,
+                                        float* dbias);
     void (*relu_forward)(std::size_t n, const float* x, float* y);
     void (*relu_backward)(std::size_t n, const float* y, const float* g,
                           float* dx);
+    void (*relu_backward_init)(std::size_t n, const float* y, const float* g,
+                               float* dx);
     void (*vadd)(std::size_t n, const float* a, const float* b, float* out);
     void (*vacc)(std::size_t n, const float* src, float* dst);
+    void (*vacc_init)(std::size_t n, const float* src, float* dst);
     void (*segment_sum)(int rows, int cols, const float* x, const int* seg,
                         int num_segs, float* out);
     void (*segment_sum_backward)(int rows, int cols, const float* g,
                                  const int* seg, float* dx);
+    void (*segment_sum_backward_init)(int rows, int cols, const float* g,
+                                      const int* seg, float* dx);
+    void (*gather_rows)(int e, int cols, const float* x, const int* idx,
+                        float* out);
+    void (*gather_rows_acc)(int e, int cols, const float* x, const int* idx,
+                            float* out);
+    void (*gather_rows_acc_init)(int e, int cols, const float* x,
+                                 const int* idx, float* out);
+    void (*scatter_rows_acc)(int e, int cols, const float* x, const int* idx,
+                             float* out);
+    void (*copy_block)(int rows, int cols, const float* src, int src_ld,
+                       float* dst, int dst_ld);
+    void (*acc_block)(int rows, int cols, const float* src, int src_ld,
+                      float* dst, int dst_ld);
 };
 
 /// The table of backend b, whichever backend is active.
@@ -138,6 +160,27 @@ void segment_sum(int rows, int cols, const float* x, const int* seg,
 void segment_sum_backward(int rows, int cols, const float* g, const int* seg,
                           float* dx);
 
+// --- row movers (gather/scatter/concat tape ops) ----------------------------
+// One call moves every row of a tape op, instead of one dispatched vacc per
+// row. Rows are visited in ascending r and each element is one copy or one
+// add, so scatter_rows_acc over repeated indices is bit-identical to a vacc
+// per row in the same order, and every entry is backend- and ISA-invariant.
+/// out[r] = x[idx[r]] for r < e (overwrite).
+void gather_rows(int e, int cols, const float* x, const int* idx, float* out);
+/// out[r] += x[idx[r]] for r < e.
+void gather_rows_acc(int e, int cols, const float* x, const int* idx,
+                     float* out);
+/// out[idx[r]] += x[r] for r < e (out rows may repeat; ascending r).
+void scatter_rows_acc(int e, int cols, const float* x, const int* idx,
+                      float* out);
+/// dst[r][c] = src[r][c] for r < rows, c < cols; rows start src_ld and
+/// dst_ld floats apart (a column block of a wider matrix).
+void copy_block(int rows, int cols, const float* src, int src_ld, float* dst,
+                int dst_ld);
+/// dst[r][c] += src[r][c], strided as copy_block.
+void acc_block(int rows, int cols, const float* src, int src_ld, float* dst,
+               int dst_ld);
+
 // --- fused elementwise epilogues (backend-independent) ------------------------
 /// y(rows,cols) = x + bias with bias(1,cols) broadcast over rows.
 void add_bias(int rows, int cols, const float* x, const float* bias, float* y);
@@ -159,5 +202,23 @@ void relu_backward(std::size_t n, const float* y, const float* g, float* dx);
 void vadd(std::size_t n, const float* a, const float* b, float* out);
 /// dst += src, elementwise.
 void vacc(std::size_t n, const float* src, float* dst);
+
+// --- initialising gradient writers -------------------------------------------
+// Each *_init kernel gives exactly what its accumulating namesake gives on a
+// dx (dst, out) filled with +0.0f, but never reads it: it stores 0.0f + v,
+// which differs from a plain copy of v only in turning -0.0f into +0.0f.
+// The tape's first writer of a fresh, unzeroed gradient buffer calls these.
+// dbias is a sum over rows and still accumulates.
+void add_bias_backward_init(int rows, int cols, const float* g, float* dx,
+                            float* dbias);
+void add_bias_relu_backward_init(int rows, int cols, const float* y,
+                                 const float* g, float* dx, float* dbias);
+void relu_backward_init(std::size_t n, const float* y, const float* g,
+                        float* dx);
+void vacc_init(std::size_t n, const float* src, float* dst);
+void segment_sum_backward_init(int rows, int cols, const float* g,
+                               const int* seg, float* dx);
+void gather_rows_acc_init(int e, int cols, const float* x, const int* idx,
+                          float* out);
 
 } // namespace powergear::nn::kernels

@@ -12,10 +12,10 @@
 // AVX2 translation unit may contract a*b+c into fused multiply-adds, so
 // blocked results can differ across hosts within the documented 1e-5
 // relative envelope (DESIGN.md §10). The entries the ref table takes from
-// here (elementwise epilogues, segmented sums) contain no multiply-adds and
-// give identical results in both translation units; the ref matmuls are
-// compiled at the baseline ISA only, so ref results are identical on every
-// host.
+// here (elementwise epilogues, segmented sums, row movers) contain no
+// multiply-adds and give identical results in both translation units; the
+// ref matmuls are compiled at the baseline ISA only, so ref results are
+// identical on every host.
 #pragma once
 
 #include "nn/kernels_cpu.hpp"

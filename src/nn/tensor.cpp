@@ -53,7 +53,8 @@ Tensor& Tensor::operator=(Tensor&& o) noexcept {
 }
 
 Tensor Tensor::borrowed(int rows, int cols, float* storage) {
-    if (rows < 0 || cols < 0) throw std::invalid_argument("Tensor: negative shape");
+    if (rows < 0 || cols < 0)
+        throw std::invalid_argument("Tensor: negative shape");
     Tensor t;
     t.rows_ = rows;
     t.cols_ = cols;
@@ -83,7 +84,11 @@ Tensor Tensor::xavier(int rows, int cols, util::Rng& rng) {
 Tensor Tensor::from(int rows, int cols, std::vector<float> values) {
     if (values.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols))
         throw std::invalid_argument("Tensor::from: value count mismatch");
-    Tensor t(rows, cols);
+    if (rows < 0 || cols < 0)
+        throw std::invalid_argument("Tensor: negative shape");
+    Tensor t;
+    t.rows_ = rows;
+    t.cols_ = cols;
     t.data_ = std::move(values);
     return t;
 }

@@ -30,6 +30,9 @@ const char* phase_name(Phase p) {
     case Phase::Place: return "place";
     case Phase::Activity: return "activity";
     case Phase::Backward: return "backward";
+    case Phase::Forward: return "forward";
+    case Phase::Assemble: return "assemble";
+    case Phase::Optimizer: return "optimizer";
     case Phase::kCount: break;
     }
     return "unknown";

@@ -40,7 +40,11 @@ enum class Phase : int {
     Serve,           ///< core::serve — per-request daemon latency + counters
     Place,           ///< fpga::place — annealing placement (board + Vivado-like)
     Activity,        ///< sim::ActivityOracle — per-kernel activity-count memo misses
-    Backward,        ///< gnn::PowerModel::train_epoch — Tape::backward per batch
+    // The four phases of one gnn::PowerModel::train_epoch minibatch:
+    Backward,        ///< zero_grad + Tape::backward
+    Forward,         ///< training forward + loss
+    Assemble,        ///< tape reset + GraphBatch::assemble
+    Optimizer,       ///< Adam step
     kCount
 };
 

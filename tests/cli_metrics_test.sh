@@ -26,6 +26,12 @@ assert bwd is not None, f"train metrics lack the backward phase: {sorted(phases)
 # Backward sweeps past constant graph inputs: some nodes are skipped, not all.
 nodes, skipped = bwd["counters"]["nodes"], bwd["counters"]["nodes_skipped"]
 assert 0 < skipped < nodes, f"backward skipped {skipped} of {nodes} nodes"
+# A training step is four phases, each entered once per minibatch.
+for name in ("assemble", "forward", "optimizer"):
+    ph = phases.get(name)
+    assert ph is not None, f"train metrics lack the {name} phase: {sorted(phases)}"
+    assert ph["calls"] == bwd["calls"], f"{name}: {ph['calls']} calls, backward {bwd['calls']}"
+assert phases["optimizer"]["counters"]["steps"] == bwd["calls"]
 EOF
 
 echo "--- estimate --metrics emits all expected phase keys"

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "gnn/ensemble.hpp"
+#include "io/artifact.hpp"
 #include "ir/ir.hpp"
 #include "gnn/model.hpp"
+#include "nn/kernels_cpu.hpp"
 
 using namespace powergear;
 using gnn::ConvKind;
@@ -171,6 +174,49 @@ TEST(PowerModel, DeterministicForSeed) {
     PowerModel m1(tiny_config(ConvKind::HecGnn));
     PowerModel m2(tiny_config(ConvKind::HecGnn));
     EXPECT_FLOAT_EQ(m1.predict(g), m2.predict(g));
+}
+
+// A small dropout training run, pinned bit for bit: the FNV-1a of the final
+// weights and of the predictions are constants. Any change to the tape, the
+// kernels, dropout's RNG use or Adam that moves one bit of a trained model
+// fails here. The ref backend is host-invariant (DESIGN.md §10), so the
+// constants hold on every host. Seven graphs at batch size 3 give minibatches
+// of 3, 3 and 1 graphs, so one reused tape sees different shapes.
+TEST(PowerModel, PinnedDropoutTrainingRunIsBitStable) {
+    namespace kn = nn::kernels;
+    const kn::Backend saved = kn::backend();
+    kn::set_backend(kn::Backend::Ref);
+
+    std::vector<GraphTensors> storage;
+    std::vector<float> targets;
+    for (int i = 0; i < 7; ++i) {
+        storage.push_back(tiny_tensors(0.5f + 0.4f * i, 1.0 + 0.3 * i));
+        targets.push_back(0.3f + 0.05f * i);
+    }
+    std::vector<const GraphTensors*> graphs;
+    for (const auto& g : storage) graphs.push_back(&g);
+
+    ModelConfig cfg = tiny_config(ConvKind::HecGnn);
+    cfg.layers = 1;
+    cfg.hidden = 16;
+    cfg.dropout = 0.2f;
+    PowerModel model(cfg);
+    model.set_output_bias(0.45f);
+    double loss = 0.0;
+    for (int e = 0; e < 2; ++e) loss = model.train_epoch(graphs, targets, 3);
+
+    std::uint64_t weights = io::fnv1a(nullptr, 0);
+    for (const nn::Param* p : model.params())
+        weights = io::fnv1a(p->w.data(), p->w.size() * sizeof(float), weights);
+    std::vector<float> preds;
+    for (const GraphTensors* g : graphs) preds.push_back(model.predict(*g));
+    const std::uint64_t predictions =
+        io::fnv1a(preds.data(), preds.size() * sizeof(float));
+    kn::set_backend(saved);
+
+    EXPECT_TRUE(std::isfinite(loss));
+    EXPECT_EQ(weights, 0x58aace8896e530b7ull);
+    EXPECT_EQ(predictions, 0x6030a478ebfe9f44ull);
 }
 
 TEST(PowerModel, RejectsUnsetNodeDim) {

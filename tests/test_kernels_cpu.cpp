@@ -7,9 +7,13 @@
 // backend. Both halves are locked in here over seeded random shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "graphgen/graph.hpp"
@@ -537,5 +541,196 @@ TEST(KernelsCpu, SegmentKernelsJobsCountInvariant) {
         for (std::size_t t = 0; t < serial.size(); ++t)
             EXPECT_EQ(serial[t], pooled[t])
                 << "backend " << backend_name(be) << " task " << t;
+    }
+}
+
+namespace {
+
+std::vector<std::uint32_t> bit_patterns(const std::vector<float>& v) {
+    std::vector<std::uint32_t> out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] = std::bit_cast<std::uint32_t>(v[i]);
+    return out;
+}
+
+/// random_values with some -0.0f, so a kernel that stores 0.0f + v where
+/// it should copy v (or the reverse) shows in the bits.
+std::vector<float> signed_values(Rng& rng, std::size_t n) {
+    std::vector<float> v = random_values(rng, n);
+    for (float& x : v)
+        if (rng.next_double() < 0.1) x = -0.0f;
+    return v;
+}
+
+} // namespace
+
+// The row movers against the per-row loops they replace (one vacc or copy
+// per row through the same table), with repeated indices, empty inputs and
+// column counts off and on the 16-float tile width.
+TEST(KernelsCpu, RowMoversMatchPerRowLoopsBitExactly) {
+    Rng rng(20261020);
+    for (const Backend be : {Backend::Ref, Backend::Blocked}) {
+        const Ops& o = ops(be);
+        for (const int cols : {1, 7, 16, 33}) {
+            for (const int e : {0, 1, 9, 40}) {
+                SCOPED_TRACE(testing::Message() << backend_name(be)
+                                                << " cols=" << cols << " e=" << e);
+                const int n = 5; // e > n rows forces repeated indices
+                const std::size_t c = static_cast<std::size_t>(cols);
+                const std::size_t ec = static_cast<std::size_t>(e) * c;
+                const std::size_t nc = static_cast<std::size_t>(n) * c;
+                const std::vector<float> node = signed_values(rng, nc);
+                const std::vector<float> edge = signed_values(rng, ec);
+                const std::vector<int> idx =
+                    random_indices(rng, static_cast<std::size_t>(e), n);
+
+                std::vector<float> want(ec), got(ec, 7.0f);
+                for (int r = 0; r < e; ++r)
+                    std::copy_n(node.data() + static_cast<std::size_t>(idx[r]) * c,
+                                c, want.data() + static_cast<std::size_t>(r) * c);
+                o.gather_rows(e, cols, node.data(), idx.data(), got.data());
+                EXPECT_EQ(bit_patterns(got), bit_patterns(want)) << "gather_rows";
+
+                want = signed_values(rng, ec);
+                got = want;
+                for (int r = 0; r < e; ++r)
+                    o.vacc(c, node.data() + static_cast<std::size_t>(idx[r]) * c,
+                           want.data() + static_cast<std::size_t>(r) * c);
+                o.gather_rows_acc(e, cols, node.data(), idx.data(), got.data());
+                EXPECT_EQ(bit_patterns(got), bit_patterns(want))
+                    << "gather_rows_acc";
+
+                want = signed_values(rng, nc);
+                got = want;
+                for (int r = 0; r < e; ++r)
+                    o.vacc(c, edge.data() + static_cast<std::size_t>(r) * c,
+                           want.data() + static_cast<std::size_t>(idx[r]) * c);
+                o.scatter_rows_acc(e, cols, edge.data(), idx.data(), got.data());
+                EXPECT_EQ(bit_patterns(got), bit_patterns(want))
+                    << "scatter_rows_acc";
+
+                // A column block at offset 2 of an (e, cols + 3) matrix, read
+                // (copy_block) and written back into (acc_block).
+                const int ld = cols + 3;
+                const std::vector<float> wide =
+                    signed_values(rng, static_cast<std::size_t>(e * ld));
+                want.assign(ec, 0.0f);
+                got.assign(ec, 7.0f);
+                for (int r = 0; r < e; ++r)
+                    std::copy_n(wide.data() + static_cast<std::size_t>(r * ld + 2),
+                                c, want.data() + static_cast<std::size_t>(r) * c);
+                o.copy_block(e, cols, wide.data() + 2, ld, got.data(), cols);
+                EXPECT_EQ(bit_patterns(got), bit_patterns(want)) << "copy_block";
+
+                std::vector<float> wide_want = wide, wide_got = wide;
+                for (int r = 0; r < e; ++r)
+                    o.vacc(c, edge.data() + static_cast<std::size_t>(r) * c,
+                           wide_want.data() + static_cast<std::size_t>(r * ld + 2));
+                o.acc_block(e, cols, edge.data(), cols, wide_got.data() + 2, ld);
+                EXPECT_EQ(bit_patterns(wide_got), bit_patterns(wide_want))
+                    << "acc_block";
+            }
+        }
+    }
+}
+
+// Every *_init kernel, and each overwriting matmul the tape uses as the
+// first writer of a fresh gradient buffer, equals its accumulating form on
+// a +0.0f-filled output bit for bit, signed zeros included. The init form's
+// output starts as NaN: an init kernel that read it would leave NaNs.
+TEST(KernelsCpu, InitKernelsMatchAccumulatingIntoZeros) {
+    Rng rng(20261021);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const Backend be : {Backend::Ref, Backend::Blocked}) {
+        const Ops& o = ops(be);
+        for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+                 {0, 3}, {1, 1}, {5, 7}, {9, 16}, {4, 33}}) {
+            SCOPED_TRACE(testing::Message() << backend_name(be) << " rows="
+                                            << rows << " cols=" << cols);
+            const std::size_t n =
+                static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+            const std::size_t c = static_cast<std::size_t>(cols);
+            const std::vector<float> g = signed_values(rng, n);
+            const std::vector<float> y = signed_values(rng, n);
+            const std::vector<float> bias0 = signed_values(rng, c);
+            const int segs = 3;
+            const std::vector<float> gs = signed_values(rng, segs * c);
+            const std::vector<int> seg =
+                random_indices(rng, static_cast<std::size_t>(rows), segs);
+
+            // Runs `acc` on zeros and `init` on NaNs; compares the outputs.
+            auto check = [&](const char* what, std::size_t size, auto acc,
+                             auto init) {
+                std::vector<float> want(size, 0.0f), got(size, nan);
+                acc(want.data());
+                init(got.data());
+                EXPECT_EQ(bit_patterns(got), bit_patterns(want)) << what;
+            };
+            check("vacc", n, [&](float* d) { o.vacc(n, g.data(), d); },
+                  [&](float* d) { o.vacc_init(n, g.data(), d); });
+            check("relu_backward", n,
+                  [&](float* d) { o.relu_backward(n, y.data(), g.data(), d); },
+                  [&](float* d) {
+                      o.relu_backward_init(n, y.data(), g.data(), d);
+                  });
+            check("segment_sum_backward", n,
+                  [&](float* d) {
+                      o.segment_sum_backward(rows, cols, gs.data(), seg.data(), d);
+                  },
+                  [&](float* d) {
+                      o.segment_sum_backward_init(rows, cols, gs.data(),
+                                                  seg.data(), d);
+                  });
+            check("gather_rows_acc", n,
+                  [&](float* d) {
+                      o.gather_rows_acc(rows, cols, gs.data(), seg.data(), d);
+                  },
+                  [&](float* d) {
+                      o.gather_rows_acc_init(rows, cols, gs.data(), seg.data(), d);
+                  });
+            // The fused bias kernels: dx starts as zeros or NaNs, dbias
+            // accumulates from the same values in both forms.
+            std::vector<float> db_want = bias0, db_got = bias0;
+            check("add_bias_backward", n,
+                  [&](float* d) {
+                      o.add_bias_backward(rows, cols, g.data(), d, db_want.data());
+                  },
+                  [&](float* d) {
+                      o.add_bias_backward_init(rows, cols, g.data(), d,
+                                               db_got.data());
+                  });
+            EXPECT_EQ(bit_patterns(db_got), bit_patterns(db_want));
+            db_want = db_got = bias0;
+            check("add_bias_relu_backward", n,
+                  [&](float* d) {
+                      o.add_bias_relu_backward(rows, cols, y.data(), g.data(), d,
+                                               db_want.data());
+                  },
+                  [&](float* d) {
+                      o.add_bias_relu_backward_init(rows, cols, y.data(),
+                                                    g.data(), d, db_got.data());
+                  });
+            EXPECT_EQ(bit_patterns(db_got), bit_patterns(db_want));
+
+            // ga(m,k) = g(m,n) · b(k,n)ᵀ and gb(k,n) = a(m,k)ᵀ · g(m,n) with
+            // m = rows, n = cols and k = 6.
+            const int k = 6;
+            const std::vector<float> a = signed_values(rng, rows * k);
+            const std::vector<float> b = signed_values(rng, k * c);
+            check("matmul_nt", static_cast<std::size_t>(rows * k),
+                  [&](float* d) {
+                      o.matmul_nt_acc(rows, cols, k, g.data(), b.data(), d);
+                  },
+                  [&](float* d) {
+                      o.matmul_nt(rows, cols, k, g.data(), b.data(), d);
+                  });
+            check("matmul_tn", static_cast<std::size_t>(k) * c,
+                  [&](float* d) {
+                      o.matmul_tn_acc(rows, k, cols, a.data(), g.data(), d);
+                  },
+                  [&](float* d) {
+                      o.matmul_tn(rows, k, cols, a.data(), g.data(), d);
+                  });
+        }
     }
 }

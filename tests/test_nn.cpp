@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "gnn/batch.hpp"
 #include "gnn/convs.hpp"
 #include "nn/autograd.hpp"
 #include "nn/kernels_cpu.hpp"
@@ -587,4 +588,114 @@ TEST(TapeRequiresGrad, ReluBackwardMatchesBranchyLoopBitwise) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]),
                   std::bit_cast<std::uint32_t>(want[i]))
             << "y=" << y[i] << " g=" << g[i];
+}
+
+namespace {
+
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+    std::vector<std::uint32_t> out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] = std::bit_cast<std::uint32_t>(v[i]);
+    return out;
+}
+
+} // namespace
+
+// Tape::dropout's branch-free keep test against the per-element
+// `next_double() < keep` loop it replaced. Under a unit backward seed the
+// input gradient is the mask itself; masks, outputs and the generator's
+// next draw agree bit for bit, also for a p so small that keep rounds to
+// 1.0f.
+TEST(Autograd, DropoutMatchesPerElementOracleBitwise) {
+    for (const float p : {1e-8f, 0.2f, 0.5f, 0.9f}) {
+        for (const int n : {0, 1, 17, 4099}) {
+            SCOPED_TRACE(testing::Message() << "p=" << p << " n=" << n);
+            Rng init(113);
+            std::vector<float> xs(static_cast<std::size_t>(n));
+            for (float& v : xs) v = init.next_float(-2.0f, 2.0f);
+            if (n > 2) {
+                xs[0] = 0.0f;
+                xs[1] = -0.0f;
+            }
+
+            Rng oracle_rng(127);
+            const float keep = 1.0f - p;
+            std::vector<float> mask(xs.size()), out(xs.size());
+            for (std::size_t i = 0; i < xs.size(); ++i) {
+                mask[i] = oracle_rng.next_double() < keep ? 1.0f / keep : 0.0f;
+                out[i] = xs[i] * mask[i];
+            }
+
+            Rng rng(127);
+            Param x(Tensor::from(n, 1, xs));
+            Tape t;
+            const int d = t.dropout(t.param(&x), p, rng, /*training=*/true);
+            t.backward(d);
+            EXPECT_EQ(bits(t.value(d)), bits(out));
+            EXPECT_EQ(bits(x.g), bits(mask));
+            EXPECT_EQ(rng.next_u64(), oracle_rng.next_u64());
+        }
+    }
+}
+
+// A tape reused after reset() hands out arena memory that still holds an
+// earlier batch's numbers, and ops write their outputs and fresh gradient
+// buffers without zeroing them first. A batch on a reused tape must give
+// the fresh tape's values, node gradients and param gradients bit for bit:
+// an op that read an element it had not written would pick up the earlier
+// batch's numbers here.
+TEST(TapeReuse, ReusedTapeMatchesFreshTapeForEveryConvKind) {
+    namespace kn = powergear::nn::kernels;
+    const kn::Backend saved = kn::backend();
+    const gnn::GraphTensors g = tape_graph();
+    const gnn::GraphTensors* three[] = {&g, &g, &g};
+    const gnn::GraphBatch bigger = gnn::GraphBatch::assemble(three);
+    for (const kn::Backend be : {kn::Backend::Ref, kn::Backend::Blocked}) {
+        kn::set_backend(be);
+        for (const ConvCase& c : conv_cases()) {
+            SCOPED_TRACE(testing::Message()
+                         << kn::backend_name(be) << " " << c.name);
+            Rng init(137);
+            const std::unique_ptr<gnn::Conv> first = c.make(g.x.cols(), init);
+            const std::unique_ptr<gnn::Conv> second = c.make(8, init);
+            std::vector<Param*> params;
+            first->collect(params);
+            second->collect(params);
+
+            struct Run {
+                std::vector<std::vector<std::uint32_t>> values, grads, params;
+            };
+            auto run = [&](Tape& t, const gnn::GraphTensors& in) {
+                for (Param* p : params) p->zero_grad();
+                Rng rng(139);
+                const int h1 = first->forward(t, in, t.input_view(in.x));
+                const int d = t.dropout(h1, 0.2f, rng, /*training=*/true);
+                const int h2 = second->forward(t, in, d);
+                const int wide = t.concat_cols(h2, t.scale(h2, 0.5f));
+                const int loss = t.mape_loss_rows(to_scalar(t, wide), {2.0f});
+                t.backward(loss);
+                Run r;
+                for (int i = 0; i < static_cast<int>(t.num_nodes()); ++i) {
+                    r.values.push_back(bits(t.value(i)));
+                    r.grads.push_back(bits(t.grad(i)));
+                }
+                for (const Param* p : params) r.params.push_back(bits(p->g));
+                return r;
+            };
+
+            Tape fresh;
+            const Run want = run(fresh, g);
+            Tape reused;
+            (void)run(reused, bigger.g);
+            reused.reset();
+            const Run got = run(reused, g);
+            ASSERT_EQ(got.values.size(), want.values.size());
+            for (std::size_t i = 0; i < want.values.size(); ++i) {
+                EXPECT_EQ(got.values[i], want.values[i]) << "value of node " << i;
+                EXPECT_EQ(got.grads[i], want.grads[i]) << "grad of node " << i;
+            }
+            EXPECT_EQ(got.params, want.params);
+        }
+    }
+    kn::set_backend(saved);
 }

@@ -261,7 +261,8 @@ TEST_F(ObsTest, EstimatePipelineEmitsAllPhases) {
 
     const obs::Report rep = obs::snapshot();
     for (const char* phase : {"dataset_gen", "hls_schedule", "sim_trace",
-                              "graphgen", "ensemble_fit", "backward",
+                              "graphgen", "ensemble_fit", "assemble",
+                              "forward", "backward", "optimizer",
                               "estimate_batch"})
         EXPECT_EQ(rep.phases.count(phase), 1u) << phase;
     EXPECT_EQ(rep.phases.at("estimate_batch").counters.at("estimates"), 6u);
@@ -272,6 +273,12 @@ TEST_F(ObsTest, EstimatePipelineEmitsAllPhases) {
     EXPECT_GT(bwd.calls, 0u);
     EXPECT_GT(bwd.counters.at("nodes_skipped"), 0u);
     EXPECT_LT(bwd.counters.at("nodes_skipped"), bwd.counters.at("nodes"));
+    // A training step is assemble, forward, backward and optimizer, each
+    // once per minibatch.
+    for (const char* phase : {"assemble", "forward", "optimizer"})
+        EXPECT_EQ(rep.phases.at(phase).calls, bwd.calls) << phase;
+    EXPECT_EQ(rep.phases.at("optimizer").counters.at("steps"), bwd.calls);
+    EXPECT_GT(rep.phases.at("assemble").counters.at("graphs"), 0u);
     // Throughput is derivable: the JSON carries rates_per_s.
     const std::string json = rep.to_json();
     EXPECT_NE(json.find("rates_per_s"), std::string::npos);

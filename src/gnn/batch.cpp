@@ -32,7 +32,8 @@ void append_offset(std::vector<int>& out, const std::vector<int>& idx,
 
 } // namespace
 
-GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
+GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs,
+                                bool gcn_views) {
     if (graphs.empty())
         throw std::invalid_argument("GraphBatch::assemble: no graphs");
     const GraphTensors& first = *graphs.front();
@@ -58,6 +59,7 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
 
     GraphBatch b;
     b.num_graphs = static_cast<int>(graphs.size());
+    b.gcn_views = gcn_views;
     b.node_offset.reserve(graphs.size() + 1);
     b.graph_id.reserve(static_cast<std::size_t>(total_nodes));
 
@@ -84,10 +86,12 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
     }
     m.src.reserve(static_cast<std::size_t>(total_edges));
     m.dst.reserve(static_cast<std::size_t>(total_edges));
-    m.gcn_src.reserve(static_cast<std::size_t>(total_gcn));
-    m.gcn_dst.reserve(static_cast<std::size_t>(total_gcn));
-    m.gcn_norm.reserve(static_cast<std::size_t>(total_gcn));
-    m.inv_in_degree.reserve(static_cast<std::size_t>(total_nodes));
+    if (gcn_views) {
+        m.gcn_src.reserve(static_cast<std::size_t>(total_gcn));
+        m.gcn_dst.reserve(static_cast<std::size_t>(total_gcn));
+        m.gcn_norm.reserve(static_cast<std::size_t>(total_gcn));
+        m.inv_in_degree.reserve(static_cast<std::size_t>(total_nodes));
+    }
 
     int offset = 0;
     for (int gi = 0; gi < b.num_graphs; ++gi) {
@@ -103,12 +107,15 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs) {
         append_offset(m.src, g.src, offset);
         append_offset(m.dst, g.dst, offset);
 
-        append_offset(m.gcn_src, g.gcn_src, offset);
-        append_offset(m.gcn_dst, g.gcn_dst, offset);
-        m.gcn_norm.insert(m.gcn_norm.end(), g.gcn_norm.begin(),
-                          g.gcn_norm.end());
-        m.inv_in_degree.insert(m.inv_in_degree.end(), g.inv_in_degree.begin(),
-                               g.inv_in_degree.end());
+        if (gcn_views) {
+            append_offset(m.gcn_src, g.gcn_src, offset);
+            append_offset(m.gcn_dst, g.gcn_dst, offset);
+            m.gcn_norm.insert(m.gcn_norm.end(), g.gcn_norm.begin(),
+                              g.gcn_norm.end());
+            m.inv_in_degree.insert(m.inv_in_degree.end(),
+                                   g.inv_in_degree.begin(),
+                                   g.inv_in_degree.end());
+        }
 
         offset += g.num_nodes;
     }

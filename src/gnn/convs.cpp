@@ -94,7 +94,8 @@ HecConv::HecConv(int in, int out, int edge_dim, bool edge_features,
 }
 
 int HecConv::forward(Tape& t, const GraphTensors& g, int h) {
-    int agg = -1;
+    std::array<Tape::Scatter, Graph::kNumRelations> groups;
+    std::size_t num_groups = 0;
     const int num_rel = heterogeneous_ ? Graph::kNumRelations : 1;
     for (int rel = 0; rel < num_rel; ++rel) {
         const std::vector<int>& srcs = heterogeneous_
@@ -117,20 +118,16 @@ int HecConv::forward(Tape& t, const GraphTensors& g, int h) {
             msg = t.gather_matmul(h, std::span<const int>(srcs), t.param(&w_e));
         }
         msg = t.matmul(msg, t.param(&w_r[static_cast<std::size_t>(rel)]));
-
-        int scattered =
-            t.scatter_add_rows(msg, std::span<const int>(dsts), g.num_nodes);
-        if (!directed_) {
-            // w/o dir.: edges also deliver their message to the source side.
-            scattered = t.add(
-                scattered,
-                t.scatter_add_rows(msg, std::span<const int>(srcs), g.num_nodes));
-        }
-        agg = agg < 0 ? scattered : t.add(agg, scattered);
+        // w/o dir.: edges also deliver their message to the source side.
+        groups[num_groups++] = {msg, std::span<const int>(dsts),
+                                directed_ ? std::span<const int>()
+                                          : std::span<const int>(srcs)};
     }
 
-    int self = w_v.forward(t, h);
-    return t.relu(agg < 0 ? self : t.add(self, agg));
+    // Eq. 5: the node's own transform plus every relation's scatter sum.
+    const int self = w_v.forward(t, h);
+    return t.relu(t.add_scatters(
+        self, std::span<const Tape::Scatter>(groups.data(), num_groups)));
 }
 
 void HecConv::collect(std::vector<nn::Param*>& out) {

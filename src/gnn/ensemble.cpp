@@ -144,13 +144,17 @@ std::vector<Ensemble::Stats> Ensemble::predict_stats_batch(
 
     // Chunks are assembled serially up front (memcpy-bound) and shared
     // read-only by every member task; boundaries depend only on position.
+    const bool gcn_views = std::any_of(
+        members_.begin(), members_.end(),
+        [](const auto& m) { return reads_gcn_views(m->config().kind); });
     std::vector<GraphBatch> batches;
     batches.reserve(nchunks);
     for (std::size_t c = 0; c < nchunks; ++c) {
         const std::size_t base = c * chunk;
         const std::size_t n = std::min(chunk, graphs.size() - base);
         batches.push_back(GraphBatch::assemble(
-            std::span<const GraphTensors* const>(graphs.data() + base, n)));
+            std::span<const GraphTensors* const>(graphs.data() + base, n),
+            gcn_views));
     }
 
     // One fused forward per (chunk, member) task: chunk-level parallelism

@@ -19,6 +19,10 @@ const char* conv_kind_name(ConvKind k) {
     return "?";
 }
 
+bool reads_gcn_views(ConvKind k) {
+    return k == ConvKind::Gcn || k == ConvKind::Sage;
+}
+
 PowerModel::PowerModel(const ModelConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
     if (cfg.node_dim <= 0)
         throw std::invalid_argument("PowerModel: node_dim must be set");
@@ -66,6 +70,9 @@ std::vector<nn::Param*> PowerModel::params() {
 }
 
 int PowerModel::forward(nn::Tape& t, const GraphBatch& b, bool training) {
+    if (!b.gcn_views && reads_gcn_views(cfg_.kind))
+        throw std::invalid_argument(
+            "PowerModel: batch assembled without the GCN/SAGE views");
     // Width checks run on the merged tensors (check_model_inputs validates
     // column widths only; per-graph shape checks happened when each sample's
     // tensors were built). The conv layers are index-local, so they run on
@@ -106,7 +113,8 @@ int PowerModel::forward(nn::Tape& t, const GraphBatch& b, bool training) {
 float PowerModel::predict(const GraphTensors& g) {
     const GraphTensors* one = &g;
     const GraphBatch b =
-        GraphBatch::assemble(std::span<const GraphTensors* const>(&one, 1));
+        GraphBatch::assemble(std::span<const GraphTensors* const>(&one, 1),
+                             reads_gcn_views(cfg_.kind));
     nn::Tape t;
     return predict_batch(b, t)[0];
 }
@@ -156,7 +164,7 @@ double PowerModel::train_epoch(const std::vector<const GraphTensors*>& graphs,
                 ys.push_back(targets[k]);
                 members.push_back(graphs[k]);
             }
-            batch = GraphBatch::assemble(members);
+            batch = GraphBatch::assemble(members, reads_gcn_views(cfg_.kind));
             obs::add(obs::Phase::Assemble, "graphs", end - start);
         }
         int loss = -1;
@@ -199,7 +207,8 @@ double PowerModel::evaluate_mape(const std::vector<const GraphTensors*>& graphs,
     for (std::size_t start = 0; start < graphs.size(); start += chunk) {
         const std::size_t n = std::min(chunk, graphs.size() - start);
         const GraphBatch b = GraphBatch::assemble(
-            std::span<const GraphTensors* const>(graphs.data() + start, n));
+            std::span<const GraphTensors* const>(graphs.data() + start, n),
+            reads_gcn_views(cfg_.kind));
         const std::vector<float> preds = predict_batch(b, t);
         for (std::size_t i = 0; i < n; ++i)
             s += std::abs(preds[i] - targets[start + i]) /

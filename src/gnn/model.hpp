@@ -21,6 +21,10 @@ enum class ConvKind { HecGnn, Gcn, Sage, GraphConv, Gine };
 
 const char* conv_kind_name(ConvKind k);
 
+/// Whether the kind's conv reads the GCN/SAGE views of a GraphBatch; a
+/// batch for any other kind is assembled without them.
+bool reads_gcn_views(ConvKind k);
+
 struct ModelConfig {
     ConvKind kind = ConvKind::HecGnn;
     int node_dim = 0;     ///< must match the dataset's graphs
@@ -49,9 +53,10 @@ public:
 
     /// Fused batched inference over a pre-assembled block-diagonal batch:
     /// one forward pass, one estimate per member graph (in batch order).
-    /// The batch must outlive the tape's use up to its next reset(). Each
-    /// result matches that graph's batch of one within 1e-5 relative (bit
-    /// for bit on the ref backend; DESIGN.md §13).
+    /// The batch must outlive the tape's use up to its next reset(), and
+    /// carry the GCN/SAGE views if reads_gcn_views(kind) (else throws
+    /// std::invalid_argument). Each result matches that graph's batch of one
+    /// within 1e-5 relative (bit for bit on the ref backend; DESIGN.md §13).
     std::vector<float> predict_batch(const GraphBatch& b, nn::Tape& t);
 
     /// One epoch of mini-batch training; returns the mean training loss.

@@ -35,7 +35,7 @@ void cover(float* dst, bool init, std::size_t n, V v) {
 
 } // namespace
 
-int Tape::push(Tensor val, std::initializer_list<int> parents,
+int Tape::push(Tensor val, std::span<const int> parents,
                std::function<void(Tape&, int)> backprop) {
     Node n;
     n.val = std::move(val);
@@ -282,6 +282,77 @@ int Tape::scatter_add_rows(int x, std::span<const int> idx, int out_rows) {
         (dx.init ? k::gather_rows_acc_init : k::gather_rows_acc)(
             e, g.cols(), g.data(), ip, dx.data);
     });
+}
+
+int Tape::add_scatters(int self, std::span<const Scatter> groups) {
+    const Tensor& sv = value(self);
+    const int cols = sv.cols();
+    std::vector<Scatter> live;
+    std::vector<int> parents{self};
+    for (const Scatter& s : groups) {
+        const Tensor& mv = value(s.msg);
+        if (mv.cols() != cols || mv.rows() != static_cast<int>(s.dst.size()) ||
+            (!s.src.empty() && s.src.size() != s.dst.size()))
+            throw std::invalid_argument("Tape::add_scatters: shape mismatch");
+        if (s.dst.empty()) continue;
+        live.push_back(s);
+        parents.push_back(s.msg);
+    }
+    if (live.empty()) return self;
+
+    // agg holds the running sum; s_r (a later group's sum) and s_src (a
+    // group's src-side sum) are zeroed scratch, reused group to group.
+    // Every sum is a whole-buffer add in the chain's operand order, so each
+    // element sees the chain's exact sequence of float adds.
+    const std::size_t n = sv.size();
+    float* agg = arena_.alloc(n);
+    float* s_r = nullptr;
+    float* s_src = nullptr;
+    auto zeroed = [&](float*& buf) {
+        if (buf) std::fill(buf, buf + n, 0.0f);
+        else buf = arena_.alloc(n);
+        return buf;
+    };
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        const Scatter& s = live[i];
+        const float* m = value(s.msg).data();
+        const int e = static_cast<int>(s.dst.size());
+        float* sum = i == 0 ? agg : zeroed(s_r);
+        k::scatter_rows_acc(e, cols, m, s.dst.data(), sum);
+        if (!s.src.empty()) {
+            k::scatter_rows_acc(e, cols, m, s.src.data(), zeroed(s_src));
+            k::vacc(n, s_src, sum); // S_dst + S_src
+        }
+        if (i > 0) k::vacc(n, sum, agg); // agg + S_r
+    }
+    Tensor out = make_uninit(sv.rows(), cols);
+    k::vadd(n, sv.data(), agg, out.data()); // self + agg
+
+    // The chain only passed g on through 0.0f + g copies, and 0.0f + v is
+    // idempotent in bits, so each parent's gradient is written straight
+    // from g. Groups go in reverse, each src before its dst gather: the
+    // order the chain's backward sweep wrote them.
+    return push(std::move(out), parents,
+                [self, cols, live = std::move(live)](Tape& t, int node) {
+                    const Tensor& g = t.grad(node);
+                    if (const GradOut gs = t.grad_cover(self); gs.data)
+                        (gs.init ? k::vacc_init : k::vacc)(g.size(), g.data(),
+                                                           gs.data);
+                    for (auto s = live.rbegin(); s != live.rend(); ++s) {
+                        GradOut gm = t.grad_cover(s->msg);
+                        if (!gm.data) continue;
+                        const int e = static_cast<int>(s->dst.size());
+                        if (!s->src.empty()) {
+                            (gm.init ? k::gather_rows_acc_init
+                                     : k::gather_rows_acc)(
+                                e, cols, g.data(), s->src.data(), gm.data);
+                            gm.init = false;
+                        }
+                        (gm.init ? k::gather_rows_acc_init
+                                 : k::gather_rows_acc)(e, cols, g.data(),
+                                                       s->dst.data(), gm.data);
+                    }
+                });
 }
 
 int Tape::scale_rows_impl(int x, std::span<const float> weights,

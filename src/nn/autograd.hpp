@@ -89,6 +89,23 @@ public:
     int gather_rows(int x, std::span<const int> idx);
     /// out[idx[i]] += x[i] — edge -> node aggregation. Borrows idx.
     int scatter_add_rows(int x, std::span<const int> idx, int out_rows);
+
+    /// One group of add_scatters: rows of node `msg` scatter-added into
+    /// dst; when `src` is non-empty, also into src and the two sums added
+    /// (S = S_dst + S_src). dst (and src, if given) hold one index per row
+    /// of msg. Borrows both index lists (lifetime as input_view).
+    struct Scatter {
+        int msg = -1;
+        std::span<const int> dst;
+        std::span<const int> src;
+    };
+    /// self + (((S_0 + S_1) + S_2) + ...) over the groups, each S_i the
+    /// group's scatter sum into self's rows, as one node: the values and
+    /// gradients of the chain add(self, add(add(S_0, S_1), ...)) of
+    /// scatter_add_rows nodes, bit for bit (DESIGN.md §10). Groups without
+    /// rows add nothing (not even +0.0f); with none left, returns self.
+    int add_scatters(int self, std::span<const Scatter> groups);
+
     /// Row-wise scaling by fixed per-row weights (e.g. GCN normalization).
     /// The span overload borrows the weights; the vector overload takes
     /// ownership.
@@ -140,8 +157,14 @@ private:
 
     /// Append a node computed from `parents`. It requires a gradient iff one
     /// of them does; otherwise `backprop` is dropped.
-    int push(Tensor val, std::initializer_list<int> parents,
+    int push(Tensor val, std::span<const int> parents,
              std::function<void(Tape&, int)> backprop);
+    int push(Tensor val, std::initializer_list<int> parents,
+             std::function<void(Tape&, int)> backprop) {
+        return push(std::move(val),
+                    std::span<const int>(parents.begin(), parents.size()),
+                    std::move(backprop));
+    }
     /// Append a leaf; only param leaves require a gradient.
     int push_leaf(Tensor val, Param* external);
     /// Arena-backed zeroed (rows, cols) view, for outputs that are only

@@ -1,10 +1,11 @@
-// Minimal JSON value tree — writer + strict recursive-descent parser.
+// Minimal JSON value tree and writer.
 //
-// Serves the two machine-readable interchange formats this repo emits and
-// re-reads: obs metrics reports (obs/report.*) and benchmark baselines
-// (bench/bench_regression.cpp, scripts/bench_gate.py). Deliberately small:
-// no SAX, no comments, no NaN/Inf (both ends of our schemas are finite by
-// construction), UTF-8 passed through verbatim with standard escapes.
+// Serves the machine-readable formats this repo emits: obs metrics reports
+// (obs/report.*), analysis diagnostics and SARIF, and benchmark results
+// (bench/, read back by scripts/bench_gate.py). Deliberately small: no
+// NaN/Inf (every schema is finite by construction), UTF-8 passed through
+// verbatim with standard escapes. No program reads JSON back; the strict
+// parser the tests validate output with lives in tests/json_parse.*.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ public:
     Kind kind() const { return kind_; }
 
     /// Typed accessors; throw std::runtime_error on kind mismatch so schema
-    /// drift surfaces as a parse error, not a silent zero.
+    /// drift surfaces as an error, not a silent zero.
     bool as_bool() const;
     double as_number() const;
     const std::string& as_string() const;
@@ -67,10 +68,6 @@ public:
     /// significant digits (round-trip exact for doubles) with trailing-zero
     /// trimming so integers print as integers.
     std::string dump(int indent = 2) const;
-
-    /// Strict parse of a complete JSON document (trailing garbage rejected).
-    /// Throws std::runtime_error with a byte offset on malformed input.
-    static JsonValue parse(const std::string& text);
 
 private:
     void dump_to(std::string& out, int indent, int depth) const;

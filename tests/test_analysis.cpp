@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "json_parse.hpp"
 #include "analysis/analysis.hpp"
 #include "dataset/generator.hpp"
 #include "gnn/convs.hpp"
@@ -163,7 +164,7 @@ TEST(Diagnostics, RendersTextAndJson) {
     const std::string nasty = "say \"hi\"\nthen \x01 stop";
     analysis::Report q;
     q.add("IR001", "instr", 0, nasty);
-    const obs::JsonValue doc = obs::JsonValue::parse(q.render_json());
+    const obs::JsonValue doc = testutil::parse_json(q.render_json());
     EXPECT_EQ(doc.at("diagnostics").as_array().at(0).at("message").as_string(),
               nasty);
 }

@@ -7,6 +7,7 @@
 // Ensemble::predict_stats_batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -138,6 +139,72 @@ TEST(GraphBatch, AssembleLayoutMatchesDocumentedContract) {
         }
         for (int c = 0; c < g.metadata.cols(); ++c)
             EXPECT_EQ(b.g.metadata.at(i, c), g.metadata.at(0, c));
+    }
+
+    // The GCN/SAGE views are offset like the edge lists, norms verbatim.
+    ASSERT_TRUE(b.gcn_views);
+    std::size_t v = 0;
+    for (int i = 0; i < 5; ++i) {
+        const GraphTensors& g = storage[static_cast<std::size_t>(i)];
+        const int off = b.node_offset[static_cast<std::size_t>(i)];
+        for (std::size_t j = 0; j < g.gcn_src.size(); ++j, ++v) {
+            EXPECT_EQ(b.g.gcn_src[v], g.gcn_src[j] + off);
+            EXPECT_EQ(b.g.gcn_dst[v], g.gcn_dst[j] + off);
+            EXPECT_EQ(b.g.gcn_norm[v], g.gcn_norm[j]);
+        }
+    }
+    EXPECT_EQ(b.g.gcn_src.size(), v);
+
+    // Without the views those four lists stay empty; the rest is the same.
+    const GraphBatch lean = GraphBatch::assemble(graphs, /*gcn_views=*/false);
+    EXPECT_FALSE(lean.gcn_views);
+    EXPECT_TRUE(lean.g.gcn_src.empty());
+    EXPECT_TRUE(lean.g.gcn_dst.empty());
+    EXPECT_TRUE(lean.g.gcn_norm.empty());
+    EXPECT_TRUE(lean.g.inv_in_degree.empty());
+    EXPECT_EQ(lean.num_graphs, b.num_graphs);
+    EXPECT_EQ(lean.graph_id, b.graph_id);
+    EXPECT_EQ(lean.node_offset, b.node_offset);
+    EXPECT_EQ(lean.g.num_nodes, b.g.num_nodes);
+    EXPECT_EQ(lean.g.src, b.g.src);
+    EXPECT_EQ(lean.g.dst, b.g.dst);
+    EXPECT_EQ(lean.g.rel_src, b.g.rel_src);
+    EXPECT_EQ(lean.g.rel_dst, b.g.rel_dst);
+    auto same = [](const nn::Tensor& x, const nn::Tensor& y) {
+        return x.rows() == y.rows() && x.cols() == y.cols() &&
+               std::equal(x.data(), x.data() + x.size(), y.data());
+    };
+    EXPECT_TRUE(same(lean.g.x, b.g.x));
+    EXPECT_TRUE(same(lean.g.metadata, b.g.metadata));
+    EXPECT_TRUE(same(lean.g.edge_feat, b.g.edge_feat));
+    for (std::size_t rel = 0; rel < b.g.rel_edge_feat.size(); ++rel)
+        EXPECT_TRUE(same(lean.g.rel_edge_feat[rel], b.g.rel_edge_feat[rel]));
+}
+
+// Only GCN and GraphSAGE read the views. The other kinds give the same
+// predictions from a batch without them; GCN and GraphSAGE refuse it.
+TEST(GraphBatch, OnlyGcnAndSageNeedTheGcnViews) {
+    Rng rng(109);
+    std::vector<GraphTensors> storage;
+    std::vector<const GraphTensors*> graphs;
+    for (int i = 0; i < 4; ++i) storage.push_back(random_tensors(rng));
+    for (const auto& g : storage) graphs.push_back(&g);
+    const GraphBatch full = GraphBatch::assemble(graphs);
+    const GraphBatch lean = GraphBatch::assemble(graphs, /*gcn_views=*/false);
+    for (const ConvKind kind :
+         {ConvKind::HecGnn, ConvKind::Gcn, ConvKind::Sage,
+          ConvKind::GraphConv, ConvKind::Gine}) {
+        SCOPED_TRACE(conv_kind_name(kind));
+        PowerModel model(batch_config(kind));
+        nn::Tape t;
+        const std::vector<float> want = model.predict_batch(full, t);
+        const bool reads = kind == ConvKind::Gcn || kind == ConvKind::Sage;
+        EXPECT_EQ(gnn::reads_gcn_views(kind), reads);
+        if (reads) {
+            EXPECT_THROW(model.predict_batch(lean, t), std::invalid_argument);
+        } else {
+            EXPECT_EQ(model.predict_batch(lean, t), want);
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "json_parse.hpp"
 #include "analysis/dataflow/dependence.hpp"
 #include "analysis/dataflow/interval.hpp"
 #include "analysis/dataflow/liveness.hpp"
@@ -360,7 +361,7 @@ TEST(Sarif, RoundTripsThroughStrictJsonParse) {
     rep.set_context("seeded");
 
     const std::string text = analysis::render_sarif(rep);
-    const obs::JsonValue doc = obs::JsonValue::parse(text);
+    const obs::JsonValue doc = testutil::parse_json(text);
     EXPECT_EQ(doc.at("version").as_string(), "2.1.0");
 
     const obs::JsonValue& run = doc.at("runs").as_array().at(0);
@@ -398,7 +399,7 @@ TEST(Sarif, RoundTripsThroughStrictJsonParse) {
 
 TEST(Sarif, EmptyReportIsStillAValidDocument) {
     const obs::JsonValue doc =
-        obs::JsonValue::parse(analysis::render_sarif(analysis::Report{}));
+        testutil::parse_json(analysis::render_sarif(analysis::Report{}));
     EXPECT_TRUE(doc.at("runs").as_array().at(0).at("results").as_array()
                     .empty());
 }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "json_parse.hpp"
 #include "core/powergear.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/splits.hpp"
@@ -180,7 +181,7 @@ TEST_F(ObsTest, ReportJsonRoundTrip) {
     rep.phases["estimate_batch"] = st;
 
     const std::string json = rep.to_json();
-    const obs::Report back = obs::Report::from_json(json);
+    const obs::Report back = testutil::report_from_json(json);
     EXPECT_DOUBLE_EQ(back.wall_s, rep.wall_s);
     EXPECT_EQ(back.jobs, rep.jobs);
     ASSERT_EQ(back.phases.size(), 1u);
@@ -197,9 +198,9 @@ TEST_F(ObsTest, ReportJsonRoundTrip) {
 }
 
 TEST_F(ObsTest, ReportRejectsBadSchema) {
-    EXPECT_THROW(obs::Report::from_json("{\"schema\":\"nope\"}"),
+    EXPECT_THROW(testutil::report_from_json("{\"schema\":\"nope\"}"),
                  std::runtime_error);
-    EXPECT_THROW(obs::Report::from_json("not json"), std::runtime_error);
+    EXPECT_THROW(testutil::report_from_json("not json"), std::runtime_error);
 }
 
 TEST_F(ObsTest, WriteReportFileParsesBack) {
@@ -215,12 +216,12 @@ TEST_F(ObsTest, WriteReportFileParsesBack) {
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
     std::fclose(f);
     std::remove(path.c_str());
-    const obs::Report back = obs::Report::from_json(text);
+    const obs::Report back = testutil::report_from_json(text);
     EXPECT_EQ(back.phases.at("dse").counters.at("candidates"), 5u);
 }
 
 TEST(ObsJson, ParserHandlesEscapesAndNesting) {
-    const obs::JsonValue v = obs::JsonValue::parse(
+    const obs::JsonValue v = testutil::parse_json(
         R"({"a": [1, -2.5e2, "x\nyA"], "b": {"c": true, "d": null}})");
     EXPECT_EQ(v.at("a").as_array()[0].as_number(), 1.0);
     EXPECT_EQ(v.at("a").as_array()[1].as_number(), -250.0);
@@ -230,11 +231,11 @@ TEST(ObsJson, ParserHandlesEscapesAndNesting) {
 }
 
 TEST(ObsJson, ParserRejectsMalformedInput) {
-    EXPECT_THROW(obs::JsonValue::parse("{"), std::runtime_error);
-    EXPECT_THROW(obs::JsonValue::parse("{} extra"), std::runtime_error);
-    EXPECT_THROW(obs::JsonValue::parse("{\"a\": 1,}"), std::runtime_error);
-    EXPECT_THROW(obs::JsonValue::parse("[1 2]"), std::runtime_error);
-    EXPECT_THROW(obs::JsonValue::parse("\"open"), std::runtime_error);
+    EXPECT_THROW(testutil::parse_json("{"), std::runtime_error);
+    EXPECT_THROW(testutil::parse_json("{} extra"), std::runtime_error);
+    EXPECT_THROW(testutil::parse_json("{\"a\": 1,}"), std::runtime_error);
+    EXPECT_THROW(testutil::parse_json("[1 2]"), std::runtime_error);
+    EXPECT_THROW(testutil::parse_json("\"open"), std::runtime_error);
 }
 
 // Library-level integration: the full train -> estimate_batch pipeline with

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Paired A/B of the repository benchmark against a base revision.
 
-Extracts <base-rev> into a scratch tree (git archive, reused across calls),
-then runs `perfbench/run.py` alternately in that tree and in the candidate
-(the current checkout, or --new REV) so both sides see the same host drift.
+Extracts <base-rev> into .bench_ab/<sha> (git archive, reused across
+calls), then runs `perfbench/run.py` alternately in that tree and in the
+candidate (the current checkout, or --new REV) so both sides see the same
+host drift.
 Each pair's two runs must print the same `digest` lines and the same
 error_pct; any difference, or a failed run, exits 1. It then prints, for
 every end-to-end metric of BENCHMARK.json, the medians, the median of the
@@ -11,10 +12,12 @@ per-pair new/base ratios with a bootstrap 95% interval, and how many pairs
 the candidate won.
 
     scripts/bench_ab.py <base-rev> [--workload fit] [--pairs 5] \
-        [--seconds 8] [--seed 1] [--new REV] [--workdir .bench_ab]
+        [--seconds 8] [--seed 1] [--new REV]
 
-Run from the root of a checkout. Exit codes: 0 ok, 1 mismatch or failed
-run, 2 usage error.
+Run from the root of a checkout. Each side builds into its own tree's
+.bench_build: CARGO_TARGET_DIR is dropped from the runs' environment, since
+a shared build directory would make both sides run one binary. Exit codes:
+0 ok, 1 mismatch or failed run, 2 usage error.
 """
 import argparse
 import json
@@ -24,17 +27,19 @@ import statistics
 import subprocess
 import sys
 
+WORKDIR = ".bench_ab"  # listed in .gitignore
+
 
 def git(*args):
     return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def extract(rev, workdir):
-    """A scratch tree of rev under workdir; kept so later calls rebuild
+def extract(rev):
+    """A scratch tree of rev under WORKDIR; kept so later calls rebuild
     incrementally."""
     sha = git("rev-parse", "--verify", rev + "^{commit}")
-    tree = os.path.join(workdir, sha)
+    tree = os.path.abspath(os.path.join(WORKDIR, sha))
     if not os.path.isdir(tree):
         os.makedirs(tree + ".tmp", exist_ok=True)
         archive = subprocess.Popen(["git", "archive", "--format=tar", sha],
@@ -53,7 +58,9 @@ def run(tree, args, seconds, tiny=False):
            "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     if tiny:
         cmd.append("--tiny")
-    p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    p = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                       text=True)
     lines = p.stdout.strip().splitlines()
     if p.returncode or not lines:
         sys.stderr.write(p.stderr[-4000:])
@@ -88,16 +95,14 @@ def main():
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workdir", default=".bench_ab")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs and --seconds must be positive")
 
     with open("BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
-    workdir = os.path.abspath(args.workdir)
-    base_sha, base = extract(args.base, workdir)
-    new = extract(args.new, workdir)[1] if args.new else os.getcwd()
+    base_sha, base = extract(args.base)
+    new = extract(args.new)[1] if args.new else os.getcwd()
     label = args.new or "checkout"
     print(f"bench_ab: {args.workload}, base {base_sha[:10]} vs {label}, "
           f"{args.pairs} pairs x {args.seconds:g} s, seed {args.seed}")

@@ -219,17 +219,8 @@ Placement place(const Netlist& nl, const PlacementOptions& opts) {
                           (moved_box(inc, from, to).hpwl() -
                            box[static_cast<std::size_t>(inc.net)].hpwl());
         });
-        // An uphill move is kept with probability exp(x). Below x = -40,
-        // exp(x) < 2^-53, the smallest nonzero draw, so any u > 0 rejects
-        // without the exp; u is still drawn, keeping the rng stream.
-        bool reject = false;
-        if (delta_hpwl > 0) {
-            const double u = rng.next_double();
-            const double x =
-                -static_cast<double>(delta_hpwl) / std::max(1e-9, temp);
-            reject = (x < -40.0 && u > 0.0) || u >= std::exp(x);
-        }
-        if (reject) {
+        const double delta = static_cast<double>(delta_hpwl);
+        if (delta > 0.0 && rng.next_double() >= std::exp(-delta / std::max(1e-9, temp))) {
             std::swap(p.pos[static_cast<std::size_t>(a)],
                       p.pos[static_cast<std::size_t>(b)]); // reject
         } else {

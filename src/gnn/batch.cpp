@@ -59,7 +59,6 @@ GraphBatch GraphBatch::assemble(std::span<const GraphTensors* const> graphs,
 
     GraphBatch b;
     b.num_graphs = static_cast<int>(graphs.size());
-    b.gcn_views = gcn_views;
     b.node_offset.reserve(graphs.size() + 1);
     b.graph_id.reserve(static_cast<std::size_t>(total_nodes));
 

@@ -42,13 +42,11 @@ struct GraphBatch {
     int num_graphs = 0;
     std::vector<int> graph_id;    ///< (total nodes) owning-graph id per row
     std::vector<int> node_offset; ///< (num_graphs + 1) row offsets
-    /// Whether g carries the GCN/SAGE views (gcn_src, gcn_dst, gcn_norm,
-    /// inv_in_degree); without them those lists are empty.
-    bool gcn_views = true;
 
     /// Concatenate. All graphs must agree on node/metadata/edge widths.
-    /// The GCN/SAGE views, the longest lists, are merged only when
-    /// gcn_views is set: only GcnConv and SageConv read them.
+    /// The GCN/SAGE views (gcn_src, gcn_dst, gcn_norm, inv_in_degree), the
+    /// longest lists, are merged only when gcn_views is set: only GcnConv
+    /// and SageConv read them. Without them those lists stay empty.
     static GraphBatch assemble(std::span<const GraphTensors* const> graphs,
                                bool gcn_views = true);
 };

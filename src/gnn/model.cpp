@@ -70,7 +70,10 @@ std::vector<nn::Param*> PowerModel::params() {
 }
 
 int PowerModel::forward(nn::Tape& t, const GraphBatch& b, bool training) {
-    if (!b.gcn_views && reads_gcn_views(cfg_.kind))
+    // A built graph has one inv_in_degree entry per node, so an empty list
+    // under a non-empty batch means it was assembled without the views.
+    if (reads_gcn_views(cfg_.kind) && b.g.num_nodes > 0 &&
+        b.g.inv_in_degree.empty())
         throw std::invalid_argument(
             "PowerModel: batch assembled without the GCN/SAGE views");
     // Width checks run on the merged tensors (check_model_inputs validates
